@@ -18,8 +18,13 @@
 module T = Ff_topology.Topology
 module Scenario = Fastflex.Scenario
 module Orchestrator = Fastflex.Orchestrator
+module Report = Fastflex.Report
 module Series = Ff_util.Series
 module Table = Ff_util.Table
+
+(* a report's metric as a table cell: 2 decimals, or an integer count *)
+let cell r key = Printf.sprintf "%.2f" (Report.metric r key)
+let icell r key = string_of_int (Report.count r key)
 
 let banner name description =
   Printf.printf "\n==================================================================\n";
@@ -71,8 +76,9 @@ let fig2 () =
   banner "fig2" "multimode data plane timeline: default -> detect -> mitigate -> rolling";
   let attack = { Scenario.default_attack with start = 10.; roll_schedule = [ 30. ] } in
   let r =
-    Scenario.run_lfa ~defense:(Scenario.Fastflex Orchestrator.default_config)
-      ~attack:(Some attack) ~duration:50. ()
+    Scenario.run
+      (Scenario.lfa ~defense:(Scenario.Fastflex Orchestrator.default_config)
+         ~attack:(Some attack) ~duration:50. ())
   in
   print_endline "Mode-change log (probe-driven, no controller in the loop):";
   List.iter
@@ -80,9 +86,9 @@ let fig2 () =
       Printf.printf "  t=%6.2fs  switch %-2d %s %s mode set\n" t sw
         (if up then "activates" else "deactivates")
         (Ff_dataplane.Packet.attack_kind_to_string attack))
-    r.Scenario.mode_log;
+    r.Report.mode_log;
   let activation_times =
-    List.filter_map (fun (t, _, _, up) -> if up then Some t else None) r.Scenario.mode_log
+    List.filter_map (fun (t, _, _, up) -> if up then Some t else None) r.Report.mode_log
   in
   (match activation_times with
   | t0 :: _ ->
@@ -96,18 +102,18 @@ let fig2 () =
        (d) forced re-target at t=30s absorbed at data plane timescale:\n"
       attack.Scenario.start t0
       ((tn -. t0) *. 1000.)
-      tn r.Scenario.suspicious_marked r.Scenario.probes_sent
+      tn (Report.count r "marked") (Report.count r "probes")
       (List.fold_left
          (fun acc (reason, n) ->
            if reason = "suspicious-rate-limit" || reason = "illusion-of-success" then acc + n
            else acc)
-         0 r.Scenario.drops)
+         0 r.Report.drops)
   | [] -> print_endline "no activations?!");
   List.iter
     (fun (ev, rt) -> Printf.printf "    event t=%.1fs -> back to 80%% in %.1fs\n" ev rt)
-    r.Scenario.recovery_times;
+    r.Report.recovery_times;
   print_endline "\nNormalized goodput during the timeline:";
-  Series.pp_ascii ~height:10 Format.std_formatter [ r.Scenario.normalized ]
+  Series.pp_ascii ~height:10 Format.std_formatter [ r.Report.normalized ]
 
 (* ------------------------------------------------------------------ *)
 (* fig3: the headline result (paper Figure 3)                          *)
@@ -122,10 +128,9 @@ let fig3 () =
   banner "fig3" "normalized throughput under a 3-round rolling LFA (the paper's evaluation)";
   let run name defense =
     Printf.printf "  running %-14s ...%!" name;
-    let r = Scenario.run_lfa ~defense ~duration:120. () in
-    Printf.printf " mean %.2f  min %.2f  rolls %d  reconfigs %d\n%!"
-      r.Scenario.mean_during_attack r.Scenario.min_during_attack
-      (List.length r.Scenario.rolls) (List.length r.Scenario.reconfigs);
+    let r = Scenario.run (Scenario.lfa ~defense ~duration:120. ()) in
+    Printf.printf " mean %s  min %s  rolls %d  reconfigs %d\n%!" (cell r "goodput_mean")
+      (cell r "goodput_min") (Report.count r "rolls") (Report.count r "reconfigs");
     r
   in
   let none = run "no-defense" Scenario.No_defense in
@@ -134,36 +139,30 @@ let fig3 () =
   print_endline "\nFigure 3 series (normalized throughput, 5 s grid):";
   let grid s = Series.resample s ~step:5. ~until:120. in
   let cells s = List.map (fun (_, v) -> Printf.sprintf "%.2f" v) (grid s) in
-  let times = List.map (fun (t, _) -> Printf.sprintf "%.0f" t) (grid none.Scenario.normalized) in
+  let times = List.map (fun (t, _) -> Printf.sprintf "%.0f" t) (grid none.Report.normalized) in
   Table.print
     ~header:("time(s)" :: times)
     ~rows:
-      [ "baseline-sdn" :: cells sdn.Scenario.normalized;
-        "fastflex" :: cells ff.Scenario.normalized;
-        "no-defense" :: cells none.Scenario.normalized ];
+      [ "baseline-sdn" :: cells sdn.Report.normalized;
+        "fastflex" :: cells ff.Report.normalized;
+        "no-defense" :: cells none.Report.normalized ];
   print_endline "";
   Series.pp_ascii ~height:14 Format.std_formatter
-    [ rename sdn.Scenario.normalized "Baseline (SDN)";
-      rename ff.Scenario.normalized "FastFlex" ];
+    [ rename sdn.Report.normalized "Baseline (SDN)";
+      rename ff.Report.normalized "FastFlex" ];
   print_endline "\nSummary (paper claim: baseline constantly falls behind rolling attacks;";
   print_endline "FastFlex disperses traffic almost instantaneously by data plane mode changes):";
-  let median_recovery (r : Scenario.result) =
-    let finite = List.filter (fun x -> x < infinity) (List.map snd r.Scenario.recovery_times) in
-    if finite = [] then "never" else Printf.sprintf "%.1fs" (Ff_util.Stats.median finite)
+  let row name r latency =
+    let finite = List.filter (fun x -> x < infinity) (List.map snd r.Report.recovery_times) in
+    [ name; cell r "goodput_mean"; cell r "goodput_min";
+      (if finite = [] then "never" else Printf.sprintf "%.1fs" (Ff_util.Stats.median finite));
+      latency ]
   in
   Table.print
     ~header:[ "defense"; "mean goodput"; "min"; "median recovery"; "mechanism latency" ]
     ~rows:
-      [
-        [ "no-defense"; Printf.sprintf "%.2f" none.Scenario.mean_during_attack;
-          Printf.sprintf "%.2f" none.Scenario.min_during_attack; median_recovery none; "-" ];
-        [ "baseline-sdn"; Printf.sprintf "%.2f" sdn.Scenario.mean_during_attack;
-          Printf.sprintf "%.2f" sdn.Scenario.min_during_attack; median_recovery sdn;
-          "30s TE period" ];
-        [ "fastflex"; Printf.sprintf "%.2f" ff.Scenario.mean_during_attack;
-          Printf.sprintf "%.2f" ff.Scenario.min_during_attack; median_recovery ff;
-          "RTT-scale probes" ];
-      ]
+      [ row "no-defense" none "-"; row "baseline-sdn" sdn "30s TE period";
+        row "fastflex" ff "RTT-scale probes" ]
 
 (* ------------------------------------------------------------------ *)
 (* abl-te: baseline TE period sweep                                    *)
@@ -171,29 +170,19 @@ let fig3 () =
 
 let abl_te () =
   banner "abl-te" "how fast must centralized TE be to keep up with a rolling attack?";
+  let row label defense =
+    let r = Scenario.run (Scenario.lfa ~defense ~duration:120. ()) in
+    [ label; cell r "goodput_mean"; cell r "goodput_min"; icell r "rolls"; icell r "reconfigs" ]
+  in
   let rows =
     List.map
       (fun period ->
-        let r =
-          Scenario.run_lfa ~defense:(Scenario.Baseline_sdn { period; delay = 0.5 })
-            ~duration:120. ()
-        in
-        [ Printf.sprintf "%.0f" period;
-          Printf.sprintf "%.2f" r.Scenario.mean_during_attack;
-          Printf.sprintf "%.2f" r.Scenario.min_during_attack;
-          string_of_int (List.length r.Scenario.rolls);
-          string_of_int (List.length r.Scenario.reconfigs) ])
+        row (Printf.sprintf "%.0f" period) (Scenario.Baseline_sdn { period; delay = 0.5 }))
       [ 5.; 10.; 30.; 60. ]
   in
-  let ff = Scenario.run_lfa ~defense:(Scenario.Fastflex Orchestrator.default_config)
-      ~duration:120. () in
   Table.print
     ~header:[ "TE period (s)"; "mean goodput"; "min"; "attacker rolls"; "reconfigs" ]
-    ~rows:
-      (rows
-      @ [ [ "fastflex"; Printf.sprintf "%.2f" ff.Scenario.mean_during_attack;
-            Printf.sprintf "%.2f" ff.Scenario.min_during_attack;
-            string_of_int (List.length ff.Scenario.rolls); "0" ] ]);
+    ~rows:(rows @ [ row "fastflex" (Scenario.Fastflex Orchestrator.default_config) ]);
   print_endline "\n(the attacker re-targets within seconds of each reconfiguration, so even";
   print_endline " aggressive controller periods trail the attack; the data plane does not)"
 
@@ -204,19 +193,21 @@ let abl_te () =
 let abl_probe () =
   banner "abl-probe" "reaction-time knobs: rerouting probe interval and classification age";
   let attack = Some { Scenario.default_attack with start = 10.; roll_schedule = [] } in
-  let recovery (r : Scenario.result) =
-    match r.Scenario.recovery_times with
-    | (_, rt) :: _ when rt < infinity -> Printf.sprintf "%.1f" rt
-    | _ -> "never"
+  let row label config extra =
+    let r =
+      Scenario.run (Scenario.lfa ~defense:(Scenario.Fastflex config) ~attack ~duration:60. ())
+    in
+    [ label; cell r "goodput_mean";
+      (match r.Report.recovery_times with
+      | (_, rt) :: _ when rt < infinity -> Printf.sprintf "%.1f" rt
+      | _ -> "never");
+      icell r extra ]
   in
   let rows =
     List.map
       (fun probe_interval ->
-        let config = { Orchestrator.default_config with probe_interval } in
-        let r = Scenario.run_lfa ~defense:(Scenario.Fastflex config) ~attack ~duration:60. () in
-        [ Printf.sprintf "%.0f" (probe_interval *. 1000.);
-          Printf.sprintf "%.2f" r.Scenario.mean_during_attack; recovery r;
-          string_of_int r.Scenario.probes_sent ])
+        row (Printf.sprintf "%.0f" (probe_interval *. 1000.))
+          { Orchestrator.default_config with probe_interval } "probes")
       [ 0.01; 0.05; 0.2; 0.5 ]
   in
   Table.print
@@ -226,11 +217,7 @@ let abl_probe () =
   let rows =
     List.map
       (fun min_age ->
-        let config = { Orchestrator.default_config with min_age } in
-        let r = Scenario.run_lfa ~defense:(Scenario.Fastflex config) ~attack ~duration:60. () in
-        [ Printf.sprintf "%.1f" min_age;
-          Printf.sprintf "%.2f" r.Scenario.mean_during_attack; recovery r;
-          string_of_int r.Scenario.suspicious_marked ])
+        row (Printf.sprintf "%.1f" min_age) { Orchestrator.default_config with min_age } "marked")
       [ 0.5; 1.0; 2.0; 4.0 ]
   in
   Table.print
@@ -676,12 +663,10 @@ let abl_vol () =
       (fun spoof ->
         List.map
           (fun defended ->
-            let r = Scenario.run_volumetric ~defended ~spoof () in
+            let r = Scenario.run (Scenario.volumetric ~defended ~spoof ()) in
             [ (if spoof then "yes" else "no");
               (if defended then "yes" else "no");
-              Printf.sprintf "%.2f" r.Scenario.vr_normalized_mean;
-              string_of_int r.Scenario.vr_spoofed_filtered;
-              string_of_int r.Scenario.vr_offender_drops ])
+              cell r "goodput_mean"; icell r "hcf_filtered"; icell r "offender_drops" ])
           [ false; true ])
       [ true; false ]
   in
@@ -701,20 +686,15 @@ let synflood_exp () =
     "SYN flood vs the split-proxy booster: SYN cookies at the edge, cuckoo tracker";
   let failures = ref [] in
   let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
-  let row ~label (r : Scenario.synflood_result) =
-    [ label;
-      Printf.sprintf "%.2f" r.Scenario.sf_normalized_mean;
-      Printf.sprintf "%.2f" r.Scenario.sf_peak_backlog_occupancy;
-      string_of_int r.Scenario.sf_backlog_drops;
-      string_of_int r.Scenario.sf_completed;
-      string_of_int r.Scenario.sf_failed;
-      string_of_int r.Scenario.sf_cookies_sent;
-      string_of_int r.Scenario.sf_validated;
-      Printf.sprintf "%.3f" r.Scenario.sf_tracker_occupancy ]
+  let row ~label r =
+    [ label; cell r "goodput_mean"; cell r "peak_backlog"; icell r "backlog_drops";
+      icell r "completed"; icell r "failed"; icell r "cookies_sent"; icell r "validated";
+      Printf.sprintf "%.3f" (Report.metric r "tracker_occupancy") ]
   in
-  let undefended = Scenario.run_synflood ~defended:false () in
-  let armed = Scenario.run_synflood ~defended:true () in
-  let hardened = Scenario.run_synflood ~defended:true ~hardened:true () in
+  let run ?hardened defended = Scenario.run (Scenario.synflood ~defended ?hardened ()) in
+  let undefended = run false in
+  let armed = run true in
+  let hardened = run ~hardened:true true in
   Table.print
     ~header:
       [ "defense"; "goodput"; "peak backlog"; "backlog drops"; "completed";
@@ -729,24 +709,23 @@ let synflood_exp () =
   print_endline " tracker, and the server accepts edge-validated handshakes backlog-free)";
   (* hard floors (ISSUE 10): the undefended flood must actually kill the
      server, and the booster must actually bring it back *)
-  if undefended.Scenario.sf_peak_backlog_occupancy < 1.0 then
+  let m = Report.metric in
+  if m undefended "peak_backlog" < 1.0 then
     fail "undefended peak backlog occupancy %.2f, expected 1.0 (flood never filled it)"
-      undefended.Scenario.sf_peak_backlog_occupancy;
-  if undefended.Scenario.sf_normalized_mean >= 0.20 then
-    fail "undefended goodput %.2f, floor requires < 0.20"
-      undefended.Scenario.sf_normalized_mean;
+      (m undefended "peak_backlog");
+  if m undefended "goodput_mean" >= 0.20 then
+    fail "undefended goodput %.2f, floor requires < 0.20" (m undefended "goodput_mean");
   List.iter
-    (fun (label, (r : Scenario.synflood_result)) ->
-      if r.Scenario.sf_normalized_mean < 0.90 then
-        fail "%s goodput %.2f, floor requires >= 0.90" label r.Scenario.sf_normalized_mean;
-      if r.Scenario.sf_tracker_occupancy >= Ff_dataplane.Cuckoo.occupancy_threshold then
+    (fun (label, r) ->
+      if m r "goodput_mean" < 0.90 then
+        fail "%s goodput %.2f, floor requires >= 0.90" label (m r "goodput_mean");
+      if m r "tracker_occupancy" >= Ff_dataplane.Cuckoo.occupancy_threshold then
         fail "%s cuckoo occupancy %.3f breached the %.2f threshold" label
-          r.Scenario.sf_tracker_occupancy Ff_dataplane.Cuckoo.occupancy_threshold;
-      if not r.Scenario.sf_alarmed then
-        fail "%s guard never alarmed under a 16x-threshold flood" label;
-      if r.Scenario.sf_tracker_failed_inserts > 0 then
+          (m r "tracker_occupancy") Ff_dataplane.Cuckoo.occupancy_threshold;
+      if m r "alarmed" = 0. then fail "%s guard never alarmed under a 16x-threshold flood" label;
+      if m r "tracker_failed_inserts" > 0. then
         fail "%s tracker rejected %d validated flows" label
-          r.Scenario.sf_tracker_failed_inserts)
+          (Report.count r "tracker_failed_inserts"))
     [ ("armed", armed); ("armed+hardening", hardened) ];
   match !failures with
   | [] -> print_endline "[synflood] all goodput and occupancy floors hold"
@@ -1210,7 +1189,7 @@ type fluid_sample = {
   f_alloc_words_per_equiv : float;
 }
 
-(* One hybrid run of the rolling-LFA ISP scenario (Scenario.run_lfa_fluid):
+(* One hybrid run of the rolling-LFA ISP scenario (Scenario.lfa_fluid):
    100k+ benign flows ride the fluid tier, the flood volume is fluid
    aggregates, and the defense's mode protocol demotes the flows near the
    action to packet level. Work is measured in packet-equivalents: actual
@@ -1230,29 +1209,29 @@ let measure_fluid ~flows ~duration =
   let bytes0 = Gc.allocated_bytes () in
   let t0 = Unix.gettimeofday () in
   let r =
-    Fastflex.Scenario.run_lfa_fluid ~flows ~duration ~flow_rate_bps
-      ?demote_budget ~goodput_period ()
+    Scenario.run
+      (Scenario.lfa_fluid ~flows ~duration ~flow_rate_bps ?demote_budget ~goodput_period ())
   in
   let wall_s = Float.max 1e-9 (Unix.gettimeofday () -. t0) in
   let alloc_words = (Gc.allocated_bytes () -. bytes0) /. float_of_int (Sys.word_size / 8) in
-  let module S = Fastflex.Scenario in
-  let st = r.S.fr_solver in
+  let m = Report.metric r and n = Report.count r in
+  let equivalents = m "packet_equivalents" in
   {
     f_flows = flows;
-    f_classes = r.S.fr_classes;
+    f_classes = n "classes";
     f_wall_s = wall_s;
-    f_equivalents = r.S.fr_packet_equivalents;
-    f_equiv_per_sec = r.S.fr_packet_equivalents /. wall_s;
-    f_demoted_frac_peak = r.S.fr_demoted_frac_peak;
-    f_demotions = r.S.fr_demotions;
-    f_promotions = r.S.fr_promotions;
-    f_demote_denied = r.S.fr_demote_denied;
-    f_solves = st.Ff_fluid.Fluid.solves;
-    f_skipped = st.Ff_fluid.Fluid.skipped;
-    f_full_solves = st.Ff_fluid.Fluid.full_solves;
-    f_touched_frac = r.S.fr_touched_frac;
-    f_loss_cuts = st.Ff_fluid.Fluid.loss_cuts;
-    f_alloc_words_per_equiv = alloc_words /. Float.max 1. r.S.fr_packet_equivalents;
+    f_equivalents = equivalents;
+    f_equiv_per_sec = equivalents /. wall_s;
+    f_demoted_frac_peak = m "demoted_frac_peak";
+    f_demotions = n "demotions";
+    f_promotions = n "promotions";
+    f_demote_denied = n "demote_denied";
+    f_solves = n "solves";
+    f_skipped = n "skipped";
+    f_full_solves = n "full_solves";
+    f_touched_frac = m "touched_frac";
+    f_loss_cuts = n "loss_cuts";
+    f_alloc_words_per_equiv = alloc_words /. Float.max 1. equivalents;
   }
 
 (* The all-packet baseline: the same scenario forced through the packet
@@ -1263,12 +1242,12 @@ let measure_fluid_baseline ~flows =
   Gc.compact ();
   let t0 = Unix.gettimeofday () in
   let r =
-    Fastflex.Scenario.run_lfa_fluid ~flows ~duration:2.5
-      ~force:Ff_fluid.Hybrid.All_packet ~packet_recon:false ()
+    Scenario.run
+      (Scenario.lfa_fluid ~flows ~duration:2.5 ~force:Ff_fluid.Hybrid.All_packet
+         ~packet_recon:false ())
   in
   let wall_s = Float.max 1e-9 (Unix.gettimeofday () -. t0) in
-  let module S = Fastflex.Scenario in
-  (wall_s, r.S.fr_packet_equivalents /. wall_s)
+  (wall_s, Report.metric r "packet_equivalents" /. wall_s)
 
 let fluid_sample_to_json s =
   Printf.sprintf
@@ -1695,65 +1674,56 @@ let adversarial () =
           (fun seed ->
             Printf.printf "  %-15s seed %d ...%!" sname seed;
             let t0 = Unix.gettimeofday () in
-            let open_loop =
-              Scenario.run_adversarial ~strategy ~adversary:Scenario.Open_loop ~seed ()
+            let run ?hardened adversary =
+              Scenario.run (Scenario.adversarial ~strategy ~adversary ?hardened ~seed ())
             in
-            let adaptive =
-              Scenario.run_adversarial ~strategy ~adversary:Scenario.Closed_loop ~seed ()
-            in
-            let hardened =
-              Scenario.run_adversarial ~strategy ~adversary:Scenario.Closed_loop
-                ~hardened:true ~seed ()
-            in
+            let open_loop = run Scenario.Open_loop in
+            let adaptive = run Scenario.Closed_loop in
+            let hardened = run ~hardened:true Scenario.Closed_loop in
             Printf.printf " %.1fs\n%!" (Unix.gettimeofday () -. t0);
             if Sys.getenv_opt "ADVERSARIAL_DEBUG" <> None then
               List.iter
                 (fun r ->
-                  Format.printf "    %a" Scenario.pp_adversarial r;
-                  List.iter (fun l -> Printf.printf "      | %s\n" l) r.Scenario.ar_log)
+                  Format.printf "%a" Report.pp r;
+                  List.iter (fun l -> Printf.printf "      | %s\n" l) r.Report.log)
                 [ open_loop; adaptive; hardened ];
             let tag = Printf.sprintf "%s/seed=%d" sname seed in
+            let damage r = Report.metric r "damage" in
             (* the adaptive loop must beat the defense the blast cannot *)
             check tag
-              (adaptive.Scenario.ar_damage
-              >= adversarial_damage_gain *. open_loop.Scenario.ar_damage)
-              (Printf.sprintf "adaptive damage %.2f < %.1fx open-loop %.2f"
-                 adaptive.Scenario.ar_damage adversarial_damage_gain
-                 open_loop.Scenario.ar_damage);
+              (damage adaptive >= adversarial_damage_gain *. damage open_loop)
+              (Printf.sprintf "adaptive damage %.2f < %.1fx open-loop %.2f" (damage adaptive)
+                 adversarial_damage_gain (damage open_loop));
             (* hardening must blunt it back to (near) open-loop damage *)
             check tag
-              (hardened.Scenario.ar_damage
-              <= adversarial_damage_residual *. Float.max 0.5 open_loop.Scenario.ar_damage)
-              (Printf.sprintf "hardened damage %.2f > %.2fx open-loop %.2f"
-                 hardened.Scenario.ar_damage adversarial_damage_residual
-                 open_loop.Scenario.ar_damage);
+              (damage hardened
+              <= adversarial_damage_residual *. Float.max 0.5 (damage open_loop))
+              (Printf.sprintf "hardened damage %.2f > %.2fx open-loop %.2f" (damage hardened)
+                 adversarial_damage_residual (damage open_loop));
             (* ... and raise the attacker's cost against the committed
                pre-hardening baseline *)
             (match List.assoc_opt (sname, seed) baseline with
             | Some base_wf when not record ->
+              let wf = Report.metric hardened "work_factor" in
               check tag
-                (hardened.Scenario.ar_work_factor >= adversarial_wf_floor *. base_wf)
-                (Printf.sprintf "hardened work factor %.0f < %.1fx baseline %.0f"
-                   hardened.Scenario.ar_work_factor adversarial_wf_floor base_wf)
+                (wf >= adversarial_wf_floor *. base_wf)
+                (Printf.sprintf "hardened work factor %.0f < %.1fx baseline %.0f" wf
+                   adversarial_wf_floor base_wf)
             | _ ->
               if not record then
                 failures :=
                   Printf.sprintf "%s: no baseline in %s (run with ADVERSARIAL_RECORD=1)"
                     tag adversarial_baseline_file
                   :: !failures);
-            recorded :=
-              (sname, seed, adaptive.Scenario.ar_work_factor) :: !recorded;
-            let row (r : Scenario.adversarial_result) which =
-              [ sname; string_of_int seed; which;
-                string_of_int r.Scenario.ar_probes;
-                Printf.sprintf "%.2f" r.Scenario.ar_damage;
-                Printf.sprintf "%.2f" r.Scenario.ar_peak_util;
-                (match r.Scenario.ar_effective_at with
-                | Some _ -> Printf.sprintf "%.1f" r.Scenario.ar_time_to_effective
-                | None -> "never");
-                Printf.sprintf "%.0f" r.Scenario.ar_work_factor;
-                string_of_int r.Scenario.ar_alarms;
-                string_of_int r.Scenario.ar_drops ]
+            recorded := (sname, seed, Report.metric adaptive "work_factor") :: !recorded;
+            let row r which =
+              [ sname; string_of_int seed; which; icell r "probes"; cell r "damage";
+                cell r "peak_util";
+                (if Report.metric r "effective" = 1. then
+                   Printf.sprintf "%.1f" (Report.metric r "time_to_effective")
+                 else "never");
+                Printf.sprintf "%.0f" (Report.metric r "work_factor");
+                icell r "alarms"; icell r "drops" ]
             in
             [ row open_loop "open-loop";
               row adaptive "adaptive";

@@ -8,6 +8,15 @@
 
 open Cmdliner
 
+(* JSONL, or CSV when the file name ends in .csv *)
+let write_trace file trace =
+  match (file, trace) with
+  | Some file, Some tr ->
+    if Filename.check_suffix file ".csv" then Ff_obs.Trace.write_csv tr file
+    else Ff_obs.Trace.write_jsonl tr file;
+    Printf.printf "trace: %d events -> %s\n" (Ff_obs.Trace.count tr) file
+  | _ -> ()
+
 let run_lfa defense duration te_period roll_times csv seed_bots normals trace_file
     chaos_spec =
   let defense =
@@ -28,18 +37,6 @@ let run_lfa defense duration te_period roll_times csv seed_bots normals trace_fi
       | Ok ds -> ds
       | Error e -> failwith ("bad --chaos spec: " ^ e))
   in
-  let harness = ref None in
-  let on_ready net _landmarks _flows =
-    if chaos_directives <> [] then begin
-      let h =
-        Ff_chaos.Chaos.create
-          ?seed:(Ff_chaos.Chaos.spec_seed chaos_directives)
-          net
-      in
-      Ff_chaos.Chaos.apply h chaos_directives;
-      harness := Some h
-    end
-  in
   let trace =
     Option.map
       (fun _ ->
@@ -49,28 +46,30 @@ let run_lfa defense duration te_period roll_times csv seed_bots normals trace_fi
       trace_file
   in
   let span = Ff_obs.Profile.start ~events:(Ff_netsim.Engine.total_steps ()) "lfa" in
-  let r =
-    Fastflex.Scenario.run_lfa ~defense ~attack ~duration ~bots:seed_bots ~normals
-      ~on_ready ()
+  let s =
+    Fastflex.Scenario.lfa ~defense ~attack ~duration ~bots:seed_bots ~normals ()
   in
+  let harness =
+    if chaos_directives = [] then None
+    else begin
+      let net = Fastflex.Scenario.net s in
+      let h = Ff_chaos.Chaos.create ?seed:(Ff_chaos.Chaos.spec_seed chaos_directives) net in
+      Ff_chaos.Chaos.apply h chaos_directives;
+      Some h
+    end
+  in
+  let r = Fastflex.Scenario.run s in
   let report =
     Ff_obs.Profile.finish span ~events:(Ff_netsim.Engine.total_steps ())
       ~trace_events:(match trace with Some tr -> Ff_obs.Trace.count tr | None -> 0)
       ()
   in
-  Fastflex.Scenario.pp_summary Format.std_formatter r;
-  if csv then Ff_util.Series.pp_csv Format.std_formatter [ r.Fastflex.Scenario.normalized ]
-  else
-    Ff_util.Series.pp_ascii ~height:12 Format.std_formatter
-      [ r.Fastflex.Scenario.normalized ];
+  Fastflex.Report.pp Format.std_formatter r;
+  if csv then Ff_util.Series.pp_csv Format.std_formatter [ r.Fastflex.Report.normalized ]
+  else Ff_util.Series.pp_ascii ~height:12 Format.std_formatter [ r.Fastflex.Report.normalized ];
   Format.printf "%a@." Ff_obs.Profile.pp_report report;
-  (match (trace_file, trace) with
-  | Some file, Some tr ->
-    if Filename.check_suffix file ".csv" then Ff_obs.Trace.write_csv tr file
-    else Ff_obs.Trace.write_jsonl tr file;
-    Printf.printf "trace: %d events -> %s\n" (Ff_obs.Trace.count tr) file
-  | _ -> ());
-  (match !harness with
+  write_trace trace_file trace;
+  (match harness with
   | None -> ()
   | Some h ->
     Printf.printf "chaos: %d fault actions injected\n" (Ff_chaos.Chaos.injected h);
@@ -175,41 +174,17 @@ let fluid_cmd flows duration force trace_file =
     | "fluid" -> Ff_fluid.Hybrid.All_fluid
     | _ -> Ff_fluid.Hybrid.Auto
   in
-  let obs = Option.map (fun _ -> Ff_obs.Trace.create ()) trace_file in
   let t0 = Unix.gettimeofday () in
-  let r = Fastflex.Scenario.run_lfa_fluid ~flows ~duration ~force ?obs () in
+  let s = Fastflex.Scenario.lfa_fluid ~flows ~duration ~force () in
+  let trace = Option.map (fun _ -> Ff_obs.Trace.create ()) trace_file in
+  Ff_netsim.Net.attach_obs (Fastflex.Scenario.net s) trace;
+  let r = Fastflex.Scenario.run s in
   let wall = Float.max 1e-9 (Unix.gettimeofday () -. t0) in
-  (match (obs, trace_file) with
-  | Some tr, Some file ->
-    if Filename.check_suffix file ".csv" then Ff_obs.Trace.write_csv tr file
-    else Ff_obs.Trace.write_jsonl tr file
-  | _ -> ());
-  let open Fastflex.Scenario in
-  Ff_util.Table.print
-    ~header:[ "metric"; "value" ]
-    ~rows:
-      [ [ "benign flows"; string_of_int r.fr_flows ];
-        [ "fluid classes"; string_of_int r.fr_classes ];
-        [ "simulated (s)"; Printf.sprintf "%g" r.fr_duration ];
-        [ "packet tx"; string_of_int r.fr_packet_tx ];
-        [ "fluid hop bytes"; Printf.sprintf "%.3e" r.fr_fluid_hop_bytes ];
-        [ "packet equivalents"; Printf.sprintf "%.3e" r.fr_packet_equivalents ];
-        [ "equivalents/s"; Printf.sprintf "%.3e" (r.fr_packet_equivalents /. wall) ];
-        [ "delivered bytes"; Printf.sprintf "%.3e" r.fr_delivered_bytes ];
-        [ "demoted peak";
-          Printf.sprintf "%d (%.1f%%)" r.fr_demoted_peak
-            (100. *. r.fr_demoted_frac_peak) ];
-        [ "demotions / promotions";
-          Printf.sprintf "%d / %d" r.fr_demotions r.fr_promotions ];
-        [ "mode changes"; string_of_int r.fr_mode_changes ];
-        [ "attack rolls"; string_of_int r.fr_rolls ];
-        [ "solver rate events"; string_of_int r.fr_rate_events ];
-        [ "wall (s)"; Printf.sprintf "%.3f" wall ] ];
-  (match r.fr_drops with
-  | [] -> ()
-  | drops ->
-    print_endline "drops:";
-    List.iter (fun (reason, n) -> Printf.printf "  %-12s %d\n" reason n) drops);
+  write_trace trace_file trace;
+  Fastflex.Report.pp Format.std_formatter r;
+  Printf.printf "  %-24s %.3e\n  %-24s %.3f\n" "equivalents/s"
+    (Fastflex.Report.metric r "packet_equivalents" /. wall)
+    "wall (s)" wall;
   `Ok ()
 
 let defense_arg =
@@ -334,72 +309,23 @@ let adversarial_cmd strategy seed show_log =
   let open Fastflex.Scenario in
   List.iter
     (fun strategy ->
-      let runs =
-        [ ("open-loop", run_adversarial ~strategy ~adversary:Open_loop ~seed ());
-          ("adaptive", run_adversarial ~strategy ~adversary:Closed_loop ~seed ());
-          ( "adaptive+hardened",
-            run_adversarial ~strategy ~adversary:Closed_loop ~hardened:true ~seed () ) ]
-      in
-      Printf.printf "== %s (seed %d) ==\n" (A.strategy_name strategy) seed;
-      Ff_util.Table.print
-        ~header:
-          [ "adversary"; "probes"; "damage"; "peak"; "time-to-effective"; "work factor";
-            "alarms"; "drops"; "rotations" ]
-        ~rows:
-          (List.map
-             (fun (which, r) ->
-               [ which;
-                 string_of_int r.ar_probes;
-                 Printf.sprintf "%.2f" r.ar_damage;
-                 Printf.sprintf "%.2f" r.ar_peak_util;
-                 (match r.ar_effective_at with
-                 | Some _ -> Printf.sprintf "%.1f s" r.ar_time_to_effective
-                 | None -> "never");
-                 Printf.sprintf "%.0f" r.ar_work_factor;
-                 string_of_int r.ar_alarms;
-                 string_of_int r.ar_drops;
-                 string_of_int r.ar_rotations ])
-             runs);
       List.iter
-        (fun (which, r) ->
-          if r.ar_summary <> "open-loop" then
-            Printf.printf "%s: %s\n" which r.ar_summary;
-          if show_log && r.ar_log <> [] then
-            List.iter (fun l -> Printf.printf "  | %s\n" l) r.ar_log)
-        runs;
-      print_newline ())
+        (fun (adversary, hardened) ->
+          let r = run (adversarial ~strategy ~adversary ~hardened ~seed ()) in
+          Fastflex.Report.pp Format.std_formatter r;
+          (* the attacker summary, then (with --log) its decisions *)
+          List.iteri
+            (fun i l -> if i = 0 || show_log then Printf.printf "  | %s\n" l)
+            r.Fastflex.Report.log)
+        [ (Open_loop, false); (Closed_loop, false); (Closed_loop, true) ])
     strategies;
   `Ok ()
 
 let synflood_cmd defended hardened duration rate backlog syn_timeout =
-  let open Fastflex.Scenario in
-  let r =
-    run_synflood ~defended ~hardened ~duration ~attack_rate_pps:rate ~backlog
-      ~syn_timeout ()
-  in
-  Ff_util.Table.print
-    ~header:[ "metric"; "value" ]
-    ~rows:
-      [ [ "defense";
-          (if not defended then "none"
-           else if hardened then "armed+hardening"
-           else "armed") ];
-        [ "normalized goodput"; Printf.sprintf "%.2f" r.sf_normalized_mean ];
-        [ "baseline (B/s)"; Printf.sprintf "%.0f" r.sf_baseline_goodput ];
-        [ "peak backlog occupancy"; Printf.sprintf "%.2f" r.sf_peak_backlog_occupancy ];
-        [ "backlog drops"; string_of_int r.sf_backlog_drops ];
-        [ "half-open timeouts"; string_of_int r.sf_timeouts ];
-        [ "established"; string_of_int r.sf_established ];
-        [ "client handshakes ok/failed";
-          Printf.sprintf "%d / %d" r.sf_completed r.sf_failed ];
-        [ "SYNs sent"; string_of_int r.sf_syns_sent ];
-        [ "cookies sent"; string_of_int r.sf_cookies_sent ];
-        [ "validated / rejected"; Printf.sprintf "%d / %d" r.sf_validated r.sf_rejected ];
-        [ "unverified drops"; string_of_int r.sf_unverified_drops ];
-        [ "cuckoo occupancy"; Printf.sprintf "%.3f" r.sf_tracker_occupancy ];
-        [ "cuckoo failed inserts"; string_of_int r.sf_tracker_failed_inserts ];
-        [ "mode changes"; string_of_int r.sf_mode_changes ];
-        [ "alarmed at end"; string_of_bool r.sf_alarmed ] ];
+  Fastflex.Report.pp Format.std_formatter
+    (Fastflex.Scenario.run
+       (Fastflex.Scenario.synflood ~defended ~hardened ~duration ~attack_rate_pps:rate ~backlog
+          ~syn_timeout ()));
   `Ok ()
 
 let sf_defended_arg =

@@ -11,15 +11,15 @@
    Run with: dune exec examples/lfa_defense.exe *)
 
 module Scenario = Fastflex.Scenario
+module Report = Fastflex.Report
 module Series = Ff_util.Series
 
 let run name defense =
   Printf.printf "running %-14s ... %!" name;
-  let r = Scenario.run_lfa ~defense ~duration:120. () in
+  let r = Scenario.run (Scenario.lfa ~defense ~duration:120. ()) in
   Printf.printf "mean %.2f, min %.2f, %d rolls, %d reconfigs\n%!"
-    r.Scenario.mean_during_attack r.Scenario.min_during_attack
-    (List.length r.Scenario.rolls)
-    (List.length r.Scenario.reconfigs);
+    (Report.metric r "goodput_mean") (Report.metric r "goodput_min")
+    (Report.count r "rolls") (Report.count r "reconfigs");
   r
 
 let rename s name =
@@ -36,26 +36,26 @@ let () =
 
   print_endline "\nNormalized throughput of normal flows (paper Figure 3):";
   let series =
-    [ rename sdn.Scenario.normalized "Baseline (SDN)";
-      rename ff.Scenario.normalized "FastFlex";
-      rename none.Scenario.normalized "No defense" ]
+    [ rename sdn.Report.normalized "Baseline (SDN)";
+      rename ff.Report.normalized "FastFlex";
+      rename none.Report.normalized "No defense" ]
   in
   Series.pp_ascii ~height:14 Format.std_formatter series;
 
   print_endline "\nRecovery after each attack event (time back to 80% of baseline):";
-  let show name (r : Scenario.result) =
+  let show name (r : Report.t) =
     List.iter
       (fun (ev, rt) ->
         if rt = infinity then Printf.printf "  %-14s event %5.1fs: never\n" name ev
         else Printf.printf "  %-14s event %5.1fs: %.1fs\n" name ev rt)
-      r.Scenario.recovery_times
+      r.Report.recovery_times
   in
   show "baseline-sdn" sdn;
   show "fastflex" ff;
 
   Printf.printf "\nFastFlex internals: %d packets marked suspicious, %d probes, %d drops\n"
-    ff.Scenario.suspicious_marked ff.Scenario.probes_sent
-    (List.fold_left (fun acc (_, n) -> acc + n) 0 ff.Scenario.drops);
+    (Report.count ff "marked") (Report.count ff "probes")
+    (List.fold_left (fun acc (_, n) -> acc + n) 0 ff.Report.drops);
 
   print_endline "\nCSV (time, baseline, fastflex, none):";
   Series.pp_csv Format.std_formatter series

@@ -35,11 +35,12 @@ let () =
     { Fastflex.Scenario.default_attack with roll_schedule = [ 30. ]; start = 10. }
   in
   let r =
-    Fastflex.Scenario.run_lfa
-      ~defense:(Fastflex.Scenario.Fastflex Fastflex.Orchestrator.default_config)
-      ~attack:(Some attack) ~duration:50. ()
+    Fastflex.Scenario.run
+      (Fastflex.Scenario.lfa
+         ~defense:(Fastflex.Scenario.Fastflex Fastflex.Orchestrator.default_config)
+         ~attack:(Some attack) ~duration:50. ())
   in
-  Fastflex.Scenario.pp_summary Format.std_formatter r;
+  Fastflex.Report.pp Format.std_formatter r;
 
   print_endline "\n== 4. Mode changes observed in the data plane ==";
   let shown = ref 0 in
@@ -51,8 +52,8 @@ let () =
           (if up then "enters" else "leaves")
           (Ff_dataplane.Packet.attack_kind_to_string attack)
       end)
-    r.Fastflex.Scenario.mode_log;
-  Printf.printf "  (%d mode transitions total)\n" (List.length r.Fastflex.Scenario.mode_log);
+    r.Fastflex.Report.mode_log;
+  Printf.printf "  (%d mode transitions total)\n" (List.length r.Fastflex.Report.mode_log);
 
   print_endline "\nNormalized goodput (paper Fig. 3 y-axis):";
-  Ff_util.Series.pp_ascii ~height:10 Format.std_formatter [ r.Fastflex.Scenario.normalized ]
+  Ff_util.Series.pp_ascii ~height:10 Format.std_formatter [ r.Fastflex.Report.normalized ]

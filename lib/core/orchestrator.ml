@@ -60,13 +60,61 @@ let default_config =
     hardening = None;
   }
 
-(* Detector hardening args from the config; the unhardened triple matches
-   [Lfa_detector.install]'s defaults so a [None] config stays
-   bit-identical to the pre-hardening deploys. *)
-let det_jitter config =
-  match config.hardening with
-  | None -> (0., 2.0, 0x1FA_D)
-  | Some h -> (h.h_threshold_jitter, h.h_jitter_period, h.h_seed)
+(* The hardening knobs every booster reads. Without hardening they are the
+   boosters' own defaults (no jitter, no rotation, the 2 s redraw period
+   zero jitter never uses) and [seed] — each booster's historical seed — so
+   an unhardened config stays bit-identical to the pre-hardening deploys. *)
+let effective_hardening hardening ~seed =
+  match hardening with
+  | Some h -> h
+  | None ->
+    { h_seed = seed; h_threshold_jitter = 0.; h_jitter_period = 2.0; h_epoch_jitter = 0.;
+      h_hh_threshold_jitter = 0.; h_rotate_period = 0.; h_src_hold = 0. }
+
+let modes_for = function
+  | Packet.Lfa ->
+    [ B.Common.mode_classify; B.Common.mode_reroute; B.Common.mode_obfuscate;
+      B.Common.mode_drop ]
+  | Packet.Volumetric -> [ B.Common.mode_drop; B.Common.mode_hcf ]
+  | Packet.Pulsing -> [ B.Common.mode_reroute; B.Common.mode_drop ]
+  | Packet.Recon -> [ B.Common.mode_obfuscate ]
+  | Packet.Synflood -> [ B.Common.mode_syn_guard ]
+
+let protocol net config =
+  Ff_modes.Protocol.create net ~region_ttl:config.region_ttl ~min_dwell:config.min_dwell
+    ~anti_entropy:config.anti_entropy ~modes_for ()
+
+let forward_alarms protocol =
+  let forward f (a : B.Lfa_detector.alarm) =
+    f protocol ~sw:a.B.Lfa_detector.switch a.B.Lfa_detector.attack
+  in
+  (forward Ff_modes.Protocol.raise_alarm, forward Ff_modes.Protocol.clear_alarm)
+
+(* The obfuscator's virtual topology: the default-mode forwarding as it
+   stands when first asked (FastFlex's rerouting overrides forwarding per
+   packet and never rewrites the tables, so walking them always
+   reconstructs the pre-attack path), else [fallback]; memoized per pair. *)
+let cached_virtual_path net ~fallback =
+  let vcache : (int * int, int list option) Hashtbl.t = Hashtbl.create 64 in
+  fun ~src ~dst ->
+    match Hashtbl.find_opt vcache (src, dst) with
+    | Some p -> p
+    | None ->
+      let p =
+        match Net.current_path net ~src ~dst with
+        | Some _ as p -> p
+        | None -> fallback ~src ~dst
+      in
+      Hashtbl.replace vcache (src, dst) p;
+      p
+
+let lfa_detector net ~sw ~watched ~config ~on_alarm ~on_clear =
+  let h = effective_hardening config.hardening ~seed:0x1FA_D in
+  B.Lfa_detector.install net ~sw ~watched ~check_period:config.check_period
+    ~high_threshold:config.high_threshold ~threshold_jitter:h.h_threshold_jitter
+    ~jitter_period:h.h_jitter_period ~seed:h.h_seed ~suspicious_rate:config.suspicious_rate
+    ~min_age:config.min_age ~clear_hold:config.clear_hold ~dst_flows_min:config.dst_flows_min
+    ~on_alarm ~on_clear ()
 
 type t = {
   protocol : Ff_modes.Protocol.t;
@@ -79,21 +127,10 @@ type t = {
   mutable state_transfer : Transfer.t option;
 }
 
-let modes_for = function
-  | Packet.Lfa ->
-    [ B.Common.mode_classify; B.Common.mode_reroute; B.Common.mode_obfuscate;
-      B.Common.mode_drop ]
-  | Packet.Volumetric -> [ B.Common.mode_drop; B.Common.mode_hcf ]
-  | Packet.Pulsing -> [ B.Common.mode_reroute; B.Common.mode_drop ]
-  | Packet.Recon -> [ B.Common.mode_obfuscate ]
-  | Packet.Synflood -> [ B.Common.mode_syn_guard ]
-
 let deploy net ~landmarks ~default_plan ?(config = default_config) () =
   let lm : Topology.Fig2.landmarks = landmarks in
-  let protocol =
-    Ff_modes.Protocol.create net ~region_ttl:config.region_ttl ~min_dwell:config.min_dwell
-      ~anti_entropy:config.anti_entropy ~modes_for ()
-  in
+  let protocol = protocol net config in
+  let raise_alarm, clear_alarm = forward_alarms protocol in
   let watched =
     List.map
       (fun (l : Topology.link) ->
@@ -119,20 +156,13 @@ let deploy net ~landmarks ~default_plan ?(config = default_config) () =
              ~into:victim_sketch ())
     | _ -> ()
   in
-  let threshold_jitter, jitter_period, h_seed = det_jitter config in
   let detector =
-    B.Lfa_detector.install net ~sw:lm.Topology.Fig2.agg ~watched
-      ~check_period:config.check_period ~high_threshold:config.high_threshold
-      ~threshold_jitter ~jitter_period ~seed:h_seed
-      ~suspicious_rate:config.suspicious_rate ~min_age:config.min_age
-      ~clear_hold:config.clear_hold ~dst_flows_min:config.dst_flows_min
+    lfa_detector net ~sw:lm.Topology.Fig2.agg ~watched ~config
       ~on_alarm:(fun a ->
-        Ff_modes.Protocol.raise_alarm protocol ~sw:a.B.Lfa_detector.switch a.B.Lfa_detector.attack;
+        raise_alarm a;
         (* let the classify mode mark traffic for ~2 s before snapshotting *)
         Engine.after (Net.engine net) ~delay:2.0 ship_sketch)
-      ~on_clear:(fun a ->
-        Ff_modes.Protocol.clear_alarm protocol ~sw:a.B.Lfa_detector.switch a.B.Lfa_detector.attack)
-      ()
+      ~on_clear:clear_alarm
   in
   (* after the detector's classifier, so marks are visible; before the
      dropper, so policed packets still count as evidence *)
@@ -158,22 +188,8 @@ let deploy net ~landmarks ~default_plan ?(config = default_config) () =
       ~roots:(lm.Topology.Fig2.victim :: lm.Topology.Fig2.decoys)
       ~probe_interval:config.probe_interval ()
   in
-  (* The virtual topology is the default-mode forwarding as it stands at
-     deploy time. FastFlex's rerouting never rewrites the tables (it
-     overrides forwarding per packet), so walking the tables always
-     reconstructs the pre-attack path. *)
-  let vcache : (int * int, int list option) Hashtbl.t = Hashtbl.create 64 in
-  let virtual_path ~src ~dst =
-    match Hashtbl.find_opt vcache (src, dst) with
-    | Some p -> p
-    | None ->
-      let p =
-        match Net.current_path net ~src ~dst with
-        | Some _ as p -> p
-        | None -> Ff_te.Solver.plan_path default_plan ~src ~dst
-      in
-      Hashtbl.replace vcache (src, dst) p;
-      p
+  let virtual_path =
+    cached_virtual_path net ~fallback:(Ff_te.Solver.plan_path default_plan)
   in
   let obfuscator = B.Obfuscator.install net ~virtual_path () in
   let t =
@@ -183,15 +199,6 @@ let deploy net ~landmarks ~default_plan ?(config = default_config) () =
   self := Some t;
   t
 
-let suspect_sketch t = t.suspect_sketch
-let victim_sketch t = t.victim_sketch
-let state_transfer t = t.state_transfer
-
-let dropped_packets t =
-  List.fold_left (fun acc d -> acc + B.Dropper.dropped d) 0 t.droppers
-
-let mode_log t = Ff_modes.Protocol.log t.protocol
-
 type volumetric = {
   v_protocol : Ff_modes.Protocol.t;
   v_hh : B.Heavy_hitter.t;
@@ -200,26 +207,13 @@ type volumetric = {
 }
 
 let deploy_volumetric net ~sw ?(config = default_config) ?(threshold_bps = 4_000_000.) () =
-  let protocol =
-    Ff_modes.Protocol.create net ~region_ttl:config.region_ttl ~min_dwell:config.min_dwell
-      ~anti_entropy:config.anti_entropy ~modes_for ()
-  in
-  let epoch_jitter, hh_threshold_jitter, rotate_period, src_hold, hh_seed =
-    match config.hardening with
-    | None -> (0., 0., 0., 0., 0x44_11)
-    | Some h ->
-      (h.h_epoch_jitter, h.h_hh_threshold_jitter, h.h_rotate_period, h.h_src_hold, h.h_seed)
-  in
+  let protocol = protocol net config in
+  let on_alarm, on_clear = forward_alarms protocol in
+  let h = effective_hardening config.hardening ~seed:0x44_11 in
   let hh =
-    B.Heavy_hitter.install net ~sw ~threshold_bps ~epoch_jitter
-      ~threshold_jitter:hh_threshold_jitter ~rotate_period ~src_hold ~seed:hh_seed
-      ~on_alarm:(fun a ->
-        Ff_modes.Protocol.raise_alarm protocol ~sw:a.B.Lfa_detector.switch
-          a.B.Lfa_detector.attack)
-      ~on_clear:(fun a ->
-        Ff_modes.Protocol.clear_alarm protocol ~sw:a.B.Lfa_detector.switch
-          a.B.Lfa_detector.attack)
-      ()
+    B.Heavy_hitter.install net ~sw ~threshold_bps ~epoch_jitter:h.h_epoch_jitter
+      ~threshold_jitter:h.h_hh_threshold_jitter ~rotate_period:h.h_rotate_period
+      ~src_hold:h.h_src_hold ~seed:h.h_seed ~on_alarm ~on_clear ()
   in
   (* marking must precede policing in the stage pipeline *)
   Net.add_stage net ~sw (B.Heavy_hitter.mark_offenders_stage hh);
@@ -236,25 +230,13 @@ type synguard = {
 
 let deploy_synguard net ~sw ~protect ?(config = default_config)
     ?(tracker_capacity = 4096) ?(syn_threshold_pps = 200.) () =
-  let protocol =
-    Ff_modes.Protocol.create net ~region_ttl:config.region_ttl ~min_dwell:config.min_dwell
-      ~anti_entropy:config.anti_entropy ~modes_for ()
-  in
-  let threshold_jitter, rotate_period, sg_seed =
-    match config.hardening with
-    | None -> (0., 0., 0x5EED)
-    | Some h -> (h.h_threshold_jitter, h.h_rotate_period, h.h_seed)
-  in
+  let protocol = protocol net config in
+  let on_alarm, on_clear = forward_alarms protocol in
+  let h = effective_hardening config.hardening ~seed:0x5EED in
   let guard =
     B.Syn_guard.install net ~sw ~protect ~tracker_capacity ~syn_threshold_pps
-      ~clear_hold:config.clear_hold ~threshold_jitter ~rotate_period ~seed:sg_seed
-      ~on_alarm:(fun a ->
-        Ff_modes.Protocol.raise_alarm protocol ~sw:a.B.Lfa_detector.switch
-          a.B.Lfa_detector.attack)
-      ~on_clear:(fun a ->
-        Ff_modes.Protocol.clear_alarm protocol ~sw:a.B.Lfa_detector.switch
-          a.B.Lfa_detector.attack)
-      ()
+      ~clear_hold:config.clear_hold ~threshold_jitter:h.h_threshold_jitter
+      ~rotate_period:h.h_rotate_period ~seed:h.h_seed ~on_alarm ~on_clear ()
   in
   { sg_protocol = protocol; sg_guard = guard }
 
@@ -268,38 +250,19 @@ type wide = {
 
 let deploy_wide net ~protect ?(config = default_config) ?on_mode () =
   let topo = Net.topology net in
-  let protocol =
-    Ff_modes.Protocol.create net ~region_ttl:config.region_ttl ~min_dwell:config.min_dwell
-      ~anti_entropy:config.anti_entropy ~modes_for ()
-  in
+  let protocol = protocol net config in
   (match on_mode with
   | Some f -> Ff_modes.Protocol.on_transition protocol f
   | None -> ());
-  let core_egress sw =
-    List.map (fun peer -> (sw, peer)) (Net.neighbors_of net sw)
-  in
+  let on_alarm, on_clear = forward_alarms protocol in
   let detectors =
     List.filter_map
       (fun sw ->
-        match core_egress sw with
+        match Net.neighbors_of net sw with
         | [] -> None
-        | watched ->
-          let threshold_jitter, jitter_period, h_seed = det_jitter config in
-          let det =
-            B.Lfa_detector.install net ~sw ~watched ~check_period:config.check_period
-              ~high_threshold:config.high_threshold ~suspicious_rate:config.suspicious_rate
-              ~threshold_jitter ~jitter_period ~seed:h_seed
-              ~min_age:config.min_age ~clear_hold:config.clear_hold
-              ~dst_flows_min:config.dst_flows_min
-              ~on_alarm:(fun a ->
-                Ff_modes.Protocol.raise_alarm protocol ~sw:a.B.Lfa_detector.switch
-                  a.B.Lfa_detector.attack)
-              ~on_clear:(fun a ->
-                Ff_modes.Protocol.clear_alarm protocol ~sw:a.B.Lfa_detector.switch
-                  a.B.Lfa_detector.attack)
-              ()
-          in
-          Some (sw, det))
+        | peers ->
+          let watched = List.map (fun peer -> (sw, peer)) peers in
+          Some (sw, lfa_detector net ~sw ~watched ~config ~on_alarm ~on_clear))
       (Net.switch_ids net)
   in
   (* Detectors exchange their suspicious-source sets through sync probes
@@ -307,14 +270,10 @@ let deploy_wide net ~protect ?(config = default_config) ?on_mode () =
      switch upstream of the congestion — where the path diversity is — can
      mark and police flows its own local evidence could never convict. *)
   let detector_switches = List.map fst detectors in
-  let sync_jitter, sync_seed =
-    match config.hardening with
-    | None -> (0., 0x5C11)
-    | Some h -> (h.h_epoch_jitter, h.h_seed)
-  in
+  let h = effective_hardening config.hardening ~seed:0x5C11 in
   let source_sync =
     Ff_modes.Sync.create net ~participants:detector_switches ~period:(4. *. config.check_period)
-      ~period_jitter:sync_jitter ~seed:sync_seed
+      ~period_jitter:h.h_epoch_jitter ~seed:h.h_seed
       ~local_view:(fun ~sw ->
         match List.assoc_opt sw detectors with
         | None -> []
@@ -364,19 +323,7 @@ let deploy_wide net ~protect ?(config = default_config) ?on_mode () =
       detector_switches
   in
   let reroute = B.Reroute.install net ~roots:protect ~probe_interval:config.probe_interval () in
-  let vcache : (int * int, int list option) Hashtbl.t = Hashtbl.create 64 in
-  let virtual_path ~src ~dst =
-    match Hashtbl.find_opt vcache (src, dst) with
-    | Some p -> p
-    | None ->
-      let p =
-        match Net.current_path net ~src ~dst with
-        | Some _ as p -> p
-        | None -> Topology.shortest_path topo ~src ~dst
-      in
-      Hashtbl.replace vcache (src, dst) p;
-      p
-  in
+  let virtual_path = cached_virtual_path net ~fallback:(Topology.shortest_path topo) in
   let obfuscator = B.Obfuscator.install net ~virtual_path () in
   { w_protocol = protocol; w_detectors = detectors; w_reroute = reroute;
     w_obfuscator = obfuscator; w_droppers = droppers }

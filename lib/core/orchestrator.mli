@@ -76,6 +76,21 @@ val deploy :
 val modes_for : Ff_dataplane.Packet.attack_kind -> string list
 (** The attack -> booster-mode mapping the protocol distributes. *)
 
+val protocol : Ff_netsim.Net.t -> config -> Ff_modes.Protocol.t
+(** The mode protocol every deployment drives: [config]'s region TTL,
+    dwell and anti-entropy period over {!modes_for}. *)
+
+val forward_alarms :
+  Ff_modes.Protocol.t ->
+  (Ff_boosters.Lfa_detector.alarm -> unit) * (Ff_boosters.Lfa_detector.alarm -> unit)
+(** The [(on_alarm, on_clear)] hooks that raise and clear a detector's
+    alarm in the protocol. *)
+
+val effective_hardening : hardening option -> seed:int -> hardening
+(** The knobs a booster reads: the profile itself, or without one the
+    boosters' unhardened defaults (zero jitter, no rotation or source
+    hold, 2 s redraw period) with [seed] as the booster's own seed. *)
+
 type volumetric = {
   v_protocol : Ff_modes.Protocol.t;
   v_hh : Ff_boosters.Heavy_hitter.t;
@@ -149,13 +164,3 @@ val deploy_wide :
 val wide_mode_log : wide -> (float * int * Ff_dataplane.Packet.attack_kind * bool) list
 val wide_marked : wide -> int
 val wide_dropped : wide -> int
-
-val dropped_packets : t -> int
-val mode_log : t -> (float * int * Ff_dataplane.Packet.attack_kind * bool) list
-
-val suspect_sketch : t -> Ff_dataplane.Sketch.t
-val victim_sketch : t -> Ff_dataplane.Sketch.t
-
-val state_transfer : t -> Ff_scaling.Transfer.t option
-(** The agg -> victim-agg sketch handoff, once the alarm has triggered it
-    ([None] before then). *)

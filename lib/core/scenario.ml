@@ -4,6 +4,8 @@ module Engine = Ff_netsim.Engine
 module Flow = Ff_netsim.Flow
 module Monitor = Ff_netsim.Monitor
 module Series = Ff_util.Series
+module Protocol = Ff_modes.Protocol
+module B = Ff_boosters
 
 type defense =
   | No_defense
@@ -27,21 +29,81 @@ let default_attack =
     bot_max_cwnd = 4.;
   }
 
-type result = {
-  normalized : Series.t;
-  raw_goodput : Series.t;
-  attack_goodput : Series.t;
-  baseline_goodput : float;
-  rolls : float list;
-  reconfigs : float list;
-  mode_log : (float * int * Ff_dataplane.Packet.attack_kind * bool) list;
-  mean_during_attack : float;
-  min_during_attack : float;
-  recovery_times : (float * float) list;
-  drops : (string * int) list;
-  suspicious_marked : int;
-  probes_sent : int;
+(* What a setup leaves for [run]: the windows its goodput is judged over,
+   and readers for what only exists once the simulation has run. *)
+type readout = {
+  events : float list;  (* attack start, then each re-target *)
+  metrics : (string * float) list;
+  log : string list;
 }
+
+type t = {
+  scenario : string;
+  variant : string;
+  net : Net.t;
+  duration : float;
+  pre_attack : float * float;  (* window of the goodput normalizer *)
+  attack : float * float;  (* window of the during-attack statistics *)
+  goodput : Series.t option;  (* benign goodput, bytes/s *)
+  series : Series.t list;  (* other sampled series *)
+  protocol : Protocol.t option;
+  read : unit -> readout;
+}
+
+let net s = s.net
+
+let within (lo, hi) series =
+  List.filter_map
+    (fun (t, v) -> if t >= lo && t <= hi then Some v else None)
+    (Series.points series)
+
+let run s =
+  Engine.run (Net.engine s.net) ~until:s.duration;
+  let out = s.read () in
+  (* a run cut short of the attack has no attack events *)
+  let events = List.filter (fun ev -> ev < s.duration) out.events in
+  let normalized = Series.create ~name:"normalized" in
+  let recovery_times, goodput_metrics =
+    match s.goodput with
+    | None -> ([], [])
+    | Some goodput ->
+      let baseline = Float.max 1. (Ff_util.Stats.mean (within s.pre_attack goodput)) in
+      List.iter
+        (fun (t, v) -> Series.add normalized ~time:t (v /. baseline))
+        (Series.points goodput);
+      let mean, min =
+        match within s.attack normalized with
+        | [] -> (1., 1.)
+        | vs -> (Ff_util.Stats.mean vs, List.fold_left Float.min infinity vs)
+      in
+      (* time from each attack event back to 80%, ignoring the first second *)
+      let recovery ev =
+        match
+          List.find_opt (fun (t, v) -> t > ev +. 1. && v >= 0.8) (Series.points normalized)
+        with
+        | Some (t, _) -> (ev, t -. ev)
+        | None -> (ev, infinity)
+      in
+      ( List.map recovery events,
+        [ ("goodput_baseline", baseline); ("goodput_mean", mean); ("goodput_min", min) ] )
+  in
+  {
+    Report.scenario = s.scenario;
+    variant = s.variant;
+    duration = s.duration;
+    attack_events = events;
+    series = Option.to_list s.goodput @ s.series;
+    normalized;
+    recovery_times;
+    mode_log = (match s.protocol with Some p -> Protocol.log p | None -> []);
+    drops = Net.drops_by_reason s.net;
+    metrics = goodput_metrics @ out.metrics;
+    log = out.log;
+  }
+
+let flag b = if b then 1. else 0.
+let num = float_of_int
+let sum f xs = List.fold_left (fun acc x -> acc + f x) 0 xs
 
 (* Default connectivity: per-destination shortest-path routes for every
    host, with the two victim-side decoys deliberately spread over the two
@@ -73,253 +135,151 @@ let install_default_routes net (lm : Topology.Fig2.landmarks) =
     Net.set_route net ~sw:m2 ~dst:d2 ~next_hop:lm.Topology.Fig2.victim_agg
   | _ -> ()
 
-let normal_matrix (lm : Topology.Fig2.landmarks) ~per_flow_bps =
-  let m = Ff_te.Traffic_matrix.empty () in
-  List.iter
-    (fun n -> Ff_te.Traffic_matrix.set m ~src:n ~dst:lm.Topology.Fig2.victim per_flow_bps)
-    lm.Topology.Fig2.normal_sources;
-  m
-
-let run_lfa ~defense ?(attack = Some default_attack) ?(duration = 120.)
-    ?(sample_period = 0.5) ?(normals = 4) ?(bots = 8) ?on_ready () =
+(* The Fig2 scenarios' shared preamble: topology, default routes and the
+   default mode's TE-optimal plan. k = 2 keeps the plan on the two shortest
+   (critical-link) paths; the longer detour is capacity the defenses tap
+   into under attack. *)
+let fig2 ~bots ~normals =
   let lm = Topology.Fig2.build ~bots ~normals () in
   let topo = lm.Topology.Fig2.topo in
-  let engine = Engine.create () in
-  let net = Net.create engine topo in
+  let net = Net.create (Engine.create ()) topo in
   install_default_routes net lm;
-  (* default mode: optimal configuration from centralized TE. k = 2 keeps
-     the default plan on the two shortest (critical-link) paths; the longer
-     detour is capacity the defenses tap into under attack. *)
-  let matrix = normal_matrix lm ~per_flow_bps:2_300_000. in
-  let default_plan = Ff_te.Solver.solve ~k:2 topo matrix in
+  let demand = Ff_te.Traffic_matrix.empty () in
+  List.iter
+    (fun n -> Ff_te.Traffic_matrix.set demand ~src:n ~dst:lm.Topology.Fig2.victim 2_300_000.)
+    lm.Topology.Fig2.normal_sources;
+  let default_plan = Ff_te.Solver.solve ~k:2 topo demand in
   Ff_te.Solver.install net default_plan;
-  (* normal traffic: one long-lived TCP flow per normal host *)
-  let normal_flows =
-    List.map
-      (fun n ->
-        Flow.Tcp.start net ~src:n ~dst:lm.Topology.Fig2.victim ~at:0.5 ~max_cwnd:4. ())
-      lm.Topology.Fig2.normal_sources
-  in
-  (* attacker *)
+  (lm, net, default_plan)
+
+(* one long-lived TCP flow per normal host toward the victim *)
+let normal_flows net (lm : Topology.Fig2.landmarks) =
+  List.map
+    (fun n -> Flow.Tcp.start net ~src:n ~dst:lm.Topology.Fig2.victim ~at:0.5 ~max_cwnd:4. ())
+    lm.Topology.Fig2.normal_sources
+
+let sample_period = 0.5
+
+(* The volumetric and SYN-flood setups normalize against 6 s to 1 s before
+   their attack and judge it from 2 s in to the end of the run. *)
+let fig2_windows ~start ~duration = ((start -. 6., start -. 1.), (start +. 2., duration))
+
+let lfa ~defense ?(attack = Some default_attack) ?(duration = 120.) ?(normals = 4)
+    ?(bots = 8) () =
+  let lm, net, default_plan = fig2 ~bots ~normals in
+  let flows = normal_flows net lm in
   let attacker =
     Option.map
       (fun plan ->
-        let group_of decoy = [ decoy ] in
         Ff_attacks.Lfa.launch net ~bots:lm.Topology.Fig2.bot_sources
-          ~decoy_groups:(List.map group_of lm.Topology.Fig2.decoys)
+          ~decoy_groups:(List.map (fun decoy -> [ decoy ]) lm.Topology.Fig2.decoys)
           ~start:plan.start ~flows_per_bot:plan.flows_per_bot
           ~bot_max_cwnd:plan.bot_max_cwnd ~roll_on_path_change:plan.roll_on_path_change
           ~roll_schedule:plan.roll_schedule ())
       attack
   in
-  (* defense *)
-  let controller = ref None in
-  let orchestration = ref None in
-  (match defense with
-  | No_defense -> ()
-  | Baseline_sdn { period; delay } ->
-    (* measurement half of the controller loop: telemetry at every switch
-       counts each pair at its ingress; attack flows are measured like any
-       other traffic — indistinguishability is the baseline's handicap *)
-    let telemetry = Ff_te.Estimator.install net ~switches:(Net.switch_ids net) () in
-    controller :=
-      Some
-        (Ff_te.Controller.start net ~period ~delay
-           ~estimate:(fun () -> Ff_te.Estimator.matrix telemetry)
-           ())
-  | Fastflex config ->
-    orchestration := Some (Orchestrator.deploy net ~landmarks:lm ~default_plan ~config ()));
-  (* measurement *)
-  let raw_goodput =
-    Monitor.aggregate_goodput net ~flows:normal_flows ~period:sample_period ~name:"goodput" ()
+  let variant, reconfigs, orchestration =
+    match defense with
+    | No_defense -> ("no-defense", (fun () -> []), None)
+    | Baseline_sdn { period; delay } ->
+      (* measurement half of the controller loop: telemetry at every switch
+         counts each pair at its ingress; attack flows are measured like
+         any other traffic — indistinguishability is the baseline's
+         handicap *)
+      let telemetry = Ff_te.Estimator.install net ~switches:(Net.switch_ids net) () in
+      let c =
+        Ff_te.Controller.start net ~period ~delay
+          ~estimate:(fun () -> Ff_te.Estimator.matrix telemetry)
+          ()
+      in
+      ("baseline-sdn", (fun () -> Ff_te.Controller.reconfig_times c), None)
+    | Fastflex config ->
+      let o = Orchestrator.deploy net ~landmarks:lm ~default_plan ~config () in
+      ("fastflex", (fun () -> []), Some o)
+  in
+  let goodput =
+    Monitor.aggregate_goodput net ~flows ~period:sample_period ~name:"goodput" ()
   in
   let attack_goodput =
-    Monitor.sample engine ~period:sample_period ~name:"attack-goodput" (fun now ->
-        match attacker with
-        | Some atk -> Ff_attacks.Lfa.attack_rate atk ~now
-        | None -> 0.)
+    Monitor.sample (Net.engine net) ~period:sample_period ~name:"attack-goodput" (fun now ->
+        match attacker with Some atk -> Ff_attacks.Lfa.attack_rate atk ~now | None -> 0.)
   in
-  (match on_ready with
-  | Some f -> f net lm normal_flows
-  | None -> ());
-  Engine.run engine ~until:duration;
-  (* normalizer: steady state before the attack (or over the whole run) *)
-  let attack_start = match attack with Some a -> a.start | None -> duration in
-  let calib_lo = Float.max 2. (attack_start -. 6.) and calib_hi = Float.max 4. (attack_start -. 1.) in
-  let calib =
-    List.filter_map
-      (fun (t, v) -> if t >= calib_lo && t <= calib_hi then Some v else None)
-      (Series.points raw_goodput)
-  in
-  let baseline_goodput =
-    match calib with [] -> 1. | vs -> Float.max 1. (Ff_util.Stats.mean vs)
-  in
-  let normalized = Series.create ~name:"normalized" in
-  List.iter
-    (fun (t, v) -> Series.add normalized ~time:t (v /. baseline_goodput))
-    (Series.points raw_goodput);
-  let during_attack =
-    List.filter_map
-      (fun (t, v) -> if t >= attack_start +. sample_period then Some v else None)
-      (Series.points normalized)
-  in
-  let rolls = match attacker with Some atk -> Ff_attacks.Lfa.rolls atk | None -> [] in
-  (* time from each attack event (attack start and each roll) back to 80% *)
-  let events = if attack = None then [] else attack_start :: rolls in
-  let recovery_times =
-    List.map
-      (fun ev ->
-        let rec find = function
-          | [] -> (ev, infinity)
-          | (t, v) :: rest ->
-            if t > ev +. (2. *. sample_period) && v >= 0.8 then (ev, t -. ev) else find rest
-        in
-        find (Series.points normalized))
-      events
+  let start = match attack with Some a -> a.start | None -> duration in
+  let read () =
+    let rolls = match attacker with Some atk -> Ff_attacks.Lfa.rolls atk | None -> [] in
+    let of_defense f = match orchestration with Some o -> num (f o) | None -> 0. in
+    {
+      events = (if attack = None then [] else start :: rolls);
+      metrics =
+        [ ("rolls", num (List.length rolls));
+          ("reconfigs", num (List.length (reconfigs ())));
+          ("marked", of_defense (fun o -> B.Lfa_detector.marks o.Orchestrator.detector));
+          ("probes", of_defense (fun o -> B.Reroute.probes_sent o.Orchestrator.reroute)) ];
+      log = [];
+    }
   in
   {
-    normalized;
-    raw_goodput;
-    attack_goodput;
-    baseline_goodput;
-    rolls;
-    reconfigs =
-      (match !controller with Some c -> Ff_te.Controller.reconfig_times c | None -> []);
-    mode_log = (match !orchestration with Some o -> Orchestrator.mode_log o | None -> []);
-    mean_during_attack =
-      (match during_attack with [] -> 1. | vs -> Ff_util.Stats.mean vs);
-    min_during_attack =
-      (match during_attack with [] -> 1. | vs -> List.fold_left Float.min infinity vs);
-    recovery_times;
-    drops = Net.drops_by_reason net;
-    suspicious_marked =
-      (match !orchestration with
-      | Some o -> Ff_boosters.Lfa_detector.marks o.Orchestrator.detector
-      | None -> 0);
-    probes_sent =
-      (match !orchestration with
-      | Some o -> Ff_boosters.Reroute.probes_sent o.Orchestrator.reroute
-      | None -> 0);
+    scenario = "lfa";
+    variant;
+    net;
+    duration;
+    (* the normalizer's window stays clear of slow start (t < 2) *)
+    pre_attack = (Float.max 2. (start -. 6.), Float.max 4. (start -. 1.));
+    attack = (start +. sample_period, duration);
+    goodput = Some goodput;
+    series = [ attack_goodput ];
+    protocol = Option.map (fun o -> o.Orchestrator.protocol) orchestration;
+    read;
   }
 
-let pp_summary fmt r =
-  Format.fprintf fmt
-    "baseline=%.0f B/s mean=%.2f min=%.2f rolls=%d reconfigs=%d mode-changes=%d@."
-    r.baseline_goodput r.mean_during_attack r.min_during_attack (List.length r.rolls)
-    (List.length r.reconfigs) (List.length r.mode_log);
-  List.iter
-    (fun (ev, rt) ->
-      if rt = infinity then Format.fprintf fmt "  event at %.1fs: never recovered to 80%%@." ev
-      else Format.fprintf fmt "  event at %.1fs: recovered to 80%% in %.1fs@." ev rt)
-    r.recovery_times
-
-(* ------------------------------------------------------------------ *)
-(* Volumetric scenario                                                 *)
-(* ------------------------------------------------------------------ *)
-
-type volumetric_result = {
-  vr_normalized_mean : float;
-  vr_spoofed_filtered : int;
-  vr_offender_drops : int;
-  vr_mode_changes : int;
-  vr_alarmed : bool;
-}
-
-let run_volumetric ~defended ?(duration = 60.) ?(attack_rate_pps = 600.) ?(spoof = true) () =
-  let lm = Topology.Fig2.build ~bots:8 ~normals:4 () in
-  let topo = lm.Topology.Fig2.topo in
-  let engine = Engine.create () in
-  let net = Net.create engine topo in
-  install_default_routes net lm;
-  let matrix = normal_matrix lm ~per_flow_bps:2_300_000. in
-  let default_plan = Ff_te.Solver.solve ~k:2 topo matrix in
-  Ff_te.Solver.install net default_plan;
-  let normal_flows =
-    List.map
-      (fun n -> Flow.Tcp.start net ~src:n ~dst:lm.Topology.Fig2.victim ~at:0.5 ~max_cwnd:4. ())
-      lm.Topology.Fig2.normal_sources
-  in
+let volumetric ~defended ?(duration = 60.) ?(spoof = true) () =
+  let lm, net, _ = fig2 ~bots:8 ~normals:4 in
+  let flows = normal_flows net lm in
   let vol =
-    if defended then
-      Some (Orchestrator.deploy_volumetric net ~sw:lm.Topology.Fig2.agg ())
+    if defended then Some (Orchestrator.deploy_volumetric net ~sw:lm.Topology.Fig2.agg ())
     else None
   in
   (* spoofed identities: the normal hosts' addresses (whose TTL fingerprints
      the filter learns from their legitimate traffic) *)
-  let attack_start = 10. in
-  let _atk =
-    Ff_attacks.Volumetric.launch net ~bots:lm.Topology.Fig2.bot_sources
-      ~victim:lm.Topology.Fig2.victim ~rate_pps_per_bot:attack_rate_pps ~start:attack_start
-      ?spoof_as:(if spoof then Some lm.Topology.Fig2.normal_sources else None)
-      ()
-  in
+  let start = 10. in
+  ignore
+    (Ff_attacks.Volumetric.launch net ~bots:lm.Topology.Fig2.bot_sources
+       ~victim:lm.Topology.Fig2.victim ~rate_pps_per_bot:600. ~start
+       ?spoof_as:(if spoof then Some lm.Topology.Fig2.normal_sources else None)
+       ());
   let goodput =
-    Monitor.aggregate_goodput net ~flows:normal_flows ~period:0.5 ~name:"goodput" ()
+    Monitor.aggregate_goodput net ~flows ~period:sample_period ~name:"goodput" ()
   in
-  Engine.run engine ~until:duration;
-  let vals t0 t1 =
-    List.filter_map
-      (fun (t, v) -> if t >= t0 && t <= t1 then Some v else None)
-      (Series.points goodput)
+  let of_defense f = match vol with Some v -> f v | None -> 0. in
+  let read () =
+    {
+      events = [ start ];
+      metrics =
+        [ ("hcf_filtered",
+           of_defense (fun v -> num (B.Hop_count_filter.filtered v.Orchestrator.v_hcf)));
+          ("offender_drops",
+           of_defense (fun v -> num (B.Dropper.dropped v.Orchestrator.v_dropper)));
+          ("alarmed", of_defense (fun v -> flag (B.Heavy_hitter.alarmed v.Orchestrator.v_hh))) ];
+      log = [];
+    }
   in
-  let baseline =
-    Float.max 1. (Ff_util.Stats.mean (vals (attack_start -. 6.) (attack_start -. 1.)))
-  in
+  let pre_attack, attack = fig2_windows ~start ~duration in
   {
-    vr_normalized_mean =
-      Ff_util.Stats.mean (vals (attack_start +. 2.) duration) /. baseline;
-    vr_spoofed_filtered =
-      (match vol with
-      | Some v -> Ff_boosters.Hop_count_filter.filtered v.Orchestrator.v_hcf
-      | None -> 0);
-    vr_offender_drops =
-      (match vol with
-      | Some v -> Ff_boosters.Dropper.dropped v.Orchestrator.v_dropper
-      | None -> 0);
-    vr_mode_changes =
-      (match vol with
-      | Some v -> List.length (Ff_modes.Protocol.log v.Orchestrator.v_protocol)
-      | None -> 0);
-    vr_alarmed =
-      (match vol with
-      | Some v -> Ff_boosters.Heavy_hitter.alarmed v.Orchestrator.v_hh
-      | None -> false);
+    scenario = "volumetric";
+    variant = (if defended then "defended" else "undefended") ^ if spoof then "" else ", unspoofed";
+    net;
+    duration;
+    pre_attack;
+    attack;
+    goodput = Some goodput;
+    series = [];
+    protocol = Option.map (fun v -> v.Orchestrator.v_protocol) vol;
+    read;
   }
 
-(* ------------------------------------------------------------------ *)
-(* SYN-flood scenario                                                  *)
-(* ------------------------------------------------------------------ *)
-
-type synflood_result = {
-  sf_normalized_mean : float;  (** completed-handshake goodput vs pre-attack *)
-  sf_baseline_goodput : float;
-  sf_peak_backlog_occupancy : float;
-  sf_backlog_drops : int;
-  sf_timeouts : int;
-  sf_established : int;
-  sf_completed : int;
-  sf_failed : int;
-  sf_cookies_sent : int;
-  sf_validated : int;
-  sf_rejected : int;
-  sf_unverified_drops : int;
-  sf_tracker_occupancy : float;
-  sf_tracker_failed_inserts : int;
-  sf_syns_sent : int;
-  sf_mode_changes : int;
-  sf_alarmed : bool;
-}
-
-let run_synflood ~defended ?(hardened = false) ?(duration = 60.)
-    ?(attack_rate_pps = 400.) ?(backlog = 64) ?(syn_timeout = 3.0) () =
-  let lm = Topology.Fig2.build ~bots:8 ~normals:4 () in
-  let topo = lm.Topology.Fig2.topo in
-  let engine = Engine.create () in
-  let net = Net.create engine topo in
-  install_default_routes net lm;
-  let matrix = normal_matrix lm ~per_flow_bps:2_300_000. in
-  let default_plan = Ff_te.Solver.solve ~k:2 topo matrix in
-  Ff_te.Solver.install net default_plan;
+let synflood ~defended ?(hardened = false) ?(duration = 60.) ?(attack_rate_pps = 400.)
+    ?(backlog = 64) ?(syn_timeout = 3.0) () =
+  let lm, net, _ = fig2 ~bots:8 ~normals:4 in
   (* the resource under attack: the victim's accept backlog *)
   let listener =
     Flow.Listener.install net ~host:lm.Topology.Fig2.victim ~backlog ~syn_timeout ()
@@ -337,78 +297,67 @@ let run_synflood ~defended ?(hardened = false) ?(duration = 60.)
     if defended then begin
       let config =
         if hardened then
-          { Orchestrator.default_config with
-            hardening = Some Orchestrator.default_hardening }
+          { Orchestrator.default_config with hardening = Some Orchestrator.default_hardening }
         else Orchestrator.default_config
       in
       let sg =
         Orchestrator.deploy_synguard net ~sw:lm.Topology.Fig2.victim_agg
           ~protect:lm.Topology.Fig2.victim ~config ()
       in
-      Ff_boosters.Syn_guard.attach_server_agent sg.Orchestrator.sg_guard listener;
+      B.Syn_guard.attach_server_agent sg.Orchestrator.sg_guard listener;
       Some sg
     end
     else None
   in
-  let attack_start = 10. in
+  let start = 10. in
   let atk =
     Ff_attacks.Synflood.launch net ~bots:lm.Topology.Fig2.bot_sources
-      ~victim:lm.Topology.Fig2.victim ~syn_rate_pps:attack_rate_pps
-      ~start:attack_start ~spoof_as:lm.Topology.Fig2.normal_sources ()
+      ~victim:lm.Topology.Fig2.victim ~syn_rate_pps:attack_rate_pps ~start
+      ~spoof_as:lm.Topology.Fig2.normal_sources ()
   in
   let goodput =
     Monitor.aggregate_goodput net
       ~probes:
         [ Monitor.counter_probe (fun () ->
-              List.fold_left
-                (fun acc c -> acc +. Flow.Handshake.completed_bytes c)
-                0. clients) ]
-      ~period:0.5 ~name:"goodput" ()
+              List.fold_left (fun acc c -> acc +. Flow.Handshake.completed_bytes c) 0. clients) ]
+      ~period:sample_period ~name:"goodput" ()
   in
-  Engine.run engine ~until:duration;
-  let vals t0 t1 =
-    List.filter_map
-      (fun (t, v) -> if t >= t0 && t <= t1 then Some v else None)
-      (Series.points goodput)
+  let read () =
+    let guard f = match sg with Some s -> f s.Orchestrator.sg_guard | None -> 0. in
+    let tracker f = guard (fun g -> f (B.Syn_guard.tracker g)) in
+    {
+      events = [ start ];
+      metrics =
+        [ ("peak_backlog", Flow.Listener.peak_occupancy listener);
+          ("backlog_drops", num (Flow.Listener.backlog_drops listener));
+          ("timeouts", num (Flow.Listener.timeouts listener));
+          ("established", num (Flow.Listener.established listener));
+          ("completed", num (sum Flow.Handshake.completed clients));
+          ("failed", num (sum Flow.Handshake.failed clients));
+          ("syns_sent", num (Ff_attacks.Synflood.syns_sent atk));
+          ("cookies_sent", guard (fun g -> num (B.Syn_guard.cookies_sent g)));
+          ("validated", guard (fun g -> num (B.Syn_guard.validated g)));
+          ("rejected", guard (fun g -> num (B.Syn_guard.rejected g)));
+          ("unverified_drops", guard (fun g -> num (B.Syn_guard.unverified_drops g)));
+          ("tracker_occupancy", tracker Ff_dataplane.Cuckoo.occupancy);
+          ("tracker_failed_inserts", tracker (fun c -> num (Ff_dataplane.Cuckoo.failed_inserts c)));
+          ("alarmed", guard (fun g -> flag (B.Syn_guard.alarmed g))) ];
+      log = [];
+    }
   in
-  let baseline =
-    Float.max 1. (Ff_util.Stats.mean (vals (attack_start -. 6.) (attack_start -. 1.)))
-  in
-  let guard = Option.map (fun s -> s.Orchestrator.sg_guard) sg in
-  let sum f = List.fold_left (fun acc c -> acc + f c) 0 clients in
+  let pre_attack, attack = fig2_windows ~start ~duration in
   {
-    sf_normalized_mean =
-      Ff_util.Stats.mean (vals (attack_start +. 2.) duration) /. baseline;
-    sf_baseline_goodput = baseline;
-    sf_peak_backlog_occupancy = Flow.Listener.peak_occupancy listener;
-    sf_backlog_drops = Flow.Listener.backlog_drops listener;
-    sf_timeouts = Flow.Listener.timeouts listener;
-    sf_established = Flow.Listener.established listener;
-    sf_completed = sum Flow.Handshake.completed;
-    sf_failed = sum Flow.Handshake.failed;
-    sf_cookies_sent =
-      (match guard with Some g -> Ff_boosters.Syn_guard.cookies_sent g | None -> 0);
-    sf_validated =
-      (match guard with Some g -> Ff_boosters.Syn_guard.validated g | None -> 0);
-    sf_rejected =
-      (match guard with Some g -> Ff_boosters.Syn_guard.rejected g | None -> 0);
-    sf_unverified_drops =
-      (match guard with Some g -> Ff_boosters.Syn_guard.unverified_drops g | None -> 0);
-    sf_tracker_occupancy =
-      (match guard with
-      | Some g -> Ff_dataplane.Cuckoo.occupancy (Ff_boosters.Syn_guard.tracker g)
-      | None -> 0.);
-    sf_tracker_failed_inserts =
-      (match guard with
-      | Some g -> Ff_dataplane.Cuckoo.failed_inserts (Ff_boosters.Syn_guard.tracker g)
-      | None -> 0);
-    sf_syns_sent = Ff_attacks.Synflood.syns_sent atk;
-    sf_mode_changes =
-      (match sg with
-      | Some s -> List.length (Ff_modes.Protocol.log s.Orchestrator.sg_protocol)
-      | None -> 0);
-    sf_alarmed =
-      (match guard with Some g -> Ff_boosters.Syn_guard.alarmed g | None -> false);
+    scenario = "synflood";
+    variant =
+      (if not defended then "none" else if hardened then "armed+hardening" else "armed");
+    net;
+    duration;
+    pre_attack;
+    attack;
+    goodput = Some goodput;
+    series = [];
+    protocol = Option.map (fun s -> s.Orchestrator.sg_protocol) sg;
+    read;
   }
 
 (* shortest-path route trees toward every host, over switches only (hosts
@@ -446,24 +395,6 @@ module Adaptive = Ff_attacks.Adaptive
 module Workfactor = Ff_obs.Workfactor
 
 type adversary = Closed_loop | Open_loop
-
-type adversarial_result = {
-  ar_strategy : Adaptive.strategy;
-  ar_hardened : bool;
-  ar_adversary : adversary;
-  ar_probes : int;
-  ar_damage : float;
-  ar_peak_util : float;
-  ar_effective_at : float option;
-  ar_time_to_effective : float;
-  ar_work_factor : float;
-  ar_alarms : int;
-  ar_drops : int;
-  ar_rotations : int;
-  ar_fingerprint : int;
-  ar_summary : string;
-  ar_log : string list;
-}
 
 (* Key-spreading guard for the collision arena: a windowed Bloom of
    (src, flow) plus a per-source distinct-flow counter. A source opening
@@ -508,8 +439,8 @@ let install_fanout_guard net ~sw ~max_flows ~window ~seed ~on_trip ~on_calm =
           Net.Continue);
     }
 
-let run_adversarial ~strategy ~adversary ?(hardened = false) ?(seed = 1)
-    ?(duration = 70.) ?(attack_start = 10.) () =
+let adversarial ~strategy ~adversary ?(hardened = false) ?(seed = 1) ?(duration = 70.)
+    ?(attack_start = 10.) () =
   let topo = Topology.fat_tree ~k:4 () in
   let engine = Engine.create () in
   let net = Net.create engine topo in
@@ -581,10 +512,8 @@ let run_adversarial ~strategy ~adversary ?(hardened = false) ?(seed = 1)
     else None
   in
   let alarms = ref 0 in
-  let protocol =
-    Ff_modes.Protocol.create net ~region_ttl:2 ~min_dwell:1.0 ~anti_entropy:0.5
-      ~modes_for:Orchestrator.modes_for ()
-  in
+  let protocol = Orchestrator.protocol net { Orchestrator.default_config with region_ttl = 2 } in
+  let raise_alarm, clear_alarm = Orchestrator.forward_alarms protocol in
   (* Several independent detectors (heavy-hitter boosters, the fanout
      guard, LFA detectors) feed the same protocol alarm per attack
      class, but [Protocol.clear_alarm] floods a region-wide
@@ -595,37 +524,21 @@ let run_adversarial ~strategy ~adversary ?(hardened = false) ?(seed = 1)
      the mode deadlocks off while the attack runs. Count raises per
      attack class and only forward the final clear. *)
   let raised : (Ff_dataplane.Packet.attack_kind, int) Hashtbl.t = Hashtbl.create 4 in
-  let on_alarm (a : Ff_boosters.Lfa_detector.alarm) =
+  let raised_count att = Option.value ~default:0 (Hashtbl.find_opt raised att) in
+  let on_alarm (a : B.Lfa_detector.alarm) =
     incr alarms;
-    let att = a.Ff_boosters.Lfa_detector.attack in
-    let n = match Hashtbl.find_opt raised att with Some n -> n | None -> 0 in
-    Hashtbl.replace raised att (n + 1);
-    Ff_modes.Protocol.raise_alarm protocol ~sw:a.Ff_boosters.Lfa_detector.switch att
+    let att = a.B.Lfa_detector.attack in
+    Hashtbl.replace raised att (raised_count att + 1);
+    raise_alarm a
   in
-  let on_clear (a : Ff_boosters.Lfa_detector.alarm) =
-    let att = a.Ff_boosters.Lfa_detector.attack in
-    let n = match Hashtbl.find_opt raised att with Some n -> n | None -> 0 in
-    let n = Stdlib.max 0 (n - 1) in
+  let on_clear (a : B.Lfa_detector.alarm) =
+    let att = a.B.Lfa_detector.attack in
+    let n = Stdlib.max 0 (raised_count att - 1) in
     Hashtbl.replace raised att n;
-    if n = 0 then
-      Ff_modes.Protocol.clear_alarm protocol ~sw:a.Ff_boosters.Lfa_detector.switch att
+    if n = 0 then clear_alarm a
   in
-  let det_jitter, det_period, det_seed =
-    match hardening with
-    | None -> (0., 2.0, 0x1FA_D lxor seed)
-    | Some h ->
-      (h.Orchestrator.h_threshold_jitter, h.Orchestrator.h_jitter_period, h.Orchestrator.h_seed)
-  in
-  let hh_epoch_jitter, hh_thr_jitter, hh_rotate, hh_src_hold, hh_seed =
-    match hardening with
-    | None -> (0., 0., 0., 0., 0x44_11 lxor seed)
-    | Some h ->
-      ( h.Orchestrator.h_epoch_jitter,
-        h.Orchestrator.h_hh_threshold_jitter,
-        h.Orchestrator.h_rotate_period,
-        h.Orchestrator.h_src_hold,
-        h.Orchestrator.h_seed )
-  in
+  let det = Orchestrator.effective_hardening hardening ~seed:(0x1FA_D lxor seed) in
+  let hh_h = Orchestrator.effective_hardening hardening ~seed:(0x44_11 lxor seed) in
   let droppers = ref [] in
   let hhs = ref [] in
   (match strategy with
@@ -637,34 +550,32 @@ let run_adversarial ~strategy ~adversary ?(hardened = false) ?(seed = 1)
       List.map
         (fun a ->
           ( a,
-            Ff_boosters.Lfa_detector.install net ~sw:a
+            B.Lfa_detector.install net ~sw:a
               ~watched:(List.map (fun e -> (a, e)) edges)
-              ~check_period:0.05 ~high_threshold:0.85 ~threshold_jitter:det_jitter
-              ~jitter_period:det_period ~seed:det_seed ~suspicious_rate:1_500_000.
-              ~min_age:1.0 ~clear_hold:3.0 ~dst_flows_min:8 ~on_alarm ~on_clear () ))
+              ~check_period:0.05 ~high_threshold:0.85
+              ~threshold_jitter:det.Orchestrator.h_threshold_jitter
+              ~jitter_period:det.Orchestrator.h_jitter_period ~seed:det.Orchestrator.h_seed
+              ~suspicious_rate:1_500_000. ~min_age:1.0 ~clear_hold:3.0 ~dst_flows_min:8
+              ~on_alarm ~on_clear () ))
         aggs
     in
-    let sync_jitter, sync_seed =
-      match hardening with
-      | None -> (0., 0x5C11 lxor seed)
-      | Some h -> (h.Orchestrator.h_epoch_jitter, h.Orchestrator.h_seed)
-    in
+    let sync = Orchestrator.effective_hardening hardening ~seed:(0x5C11 lxor seed) in
     let source_sync =
-      Ff_modes.Sync.create net ~participants:aggs ~period:0.2 ~period_jitter:sync_jitter
-        ~seed:sync_seed
+      Ff_modes.Sync.create net ~participants:aggs ~period:0.2
+        ~period_jitter:sync.Orchestrator.h_epoch_jitter ~seed:sync.Orchestrator.h_seed
         ~local_view:(fun ~sw ->
           match List.assoc_opt sw detectors with
           | None -> []
           | Some det ->
             List.filter_map
               (fun host ->
-                if Ff_boosters.Lfa_detector.is_suspicious_source det host then
+                if B.Lfa_detector.is_suspicious_source det host then
                   Some (host, 1.)
                 else None)
               (Net.host_ids net))
         ~probe_class:9 ()
     in
-    let classify_key = Ff_boosters.Common.mode_key Ff_boosters.Common.mode_classify in
+    let classify_key = B.Common.mode_key B.Common.mode_classify in
     List.iter
       (fun sw ->
         Net.add_stage net ~sw
@@ -676,7 +587,7 @@ let run_adversarial ~strategy ~adversary ?(hardened = false) ?(seed = 1)
                 | Ff_dataplane.Packet.Data ->
                   if
                     (not pkt.Ff_dataplane.Packet.suspicious)
-                    && Ff_boosters.Common.mode_on ctx.Net.sw classify_key
+                    && B.Common.mode_on ctx.Net.sw classify_key
                     && Ff_modes.Sync.remote_contribution source_sync ~sw
                          ~key:pkt.Ff_dataplane.Packet.src
                        > 0.
@@ -687,7 +598,7 @@ let run_adversarial ~strategy ~adversary ?(hardened = false) ?(seed = 1)
       aggs;
     droppers :=
       List.map
-        (fun a -> Ff_boosters.Dropper.install net ~sw:a ~rate_limit:150_000. ~drop_prob:0.5 ())
+        (fun a -> B.Dropper.install net ~sw:a ~rate_limit:150_000. ~drop_prob:0.5 ())
         aggs
   | Adaptive.Collision_probe ->
     (* volumetric stack, flow-keyed: a deliberately small HashPipe (one
@@ -704,23 +615,25 @@ let run_adversarial ~strategy ~adversary ?(hardened = false) ?(seed = 1)
            coin flip per epoch — and an 8x larger table also scales up
            the attacker's expected collision-search cost by 8x *)
         let hh =
-          Ff_boosters.Heavy_hitter.install net ~sw:a ~epoch:1.0 ~stages:1
+          B.Heavy_hitter.install net ~sw:a ~epoch:1.0 ~stages:1
             ~slots:(if hardened then 64 else 8) ~threshold_bps:1_200_000.
-            ~epoch_jitter:hh_epoch_jitter ~threshold_jitter:hh_thr_jitter
-            ~rotate_period:hh_rotate ~src_hold:hh_src_hold ~seed:hh_seed ~on_alarm
+            ~epoch_jitter:hh_h.Orchestrator.h_epoch_jitter
+            ~threshold_jitter:hh_h.Orchestrator.h_hh_threshold_jitter
+            ~rotate_period:hh_h.Orchestrator.h_rotate_period
+            ~src_hold:hh_h.Orchestrator.h_src_hold ~seed:hh_h.Orchestrator.h_seed ~on_alarm
             ~on_clear ()
         in
         hhs := hh :: !hhs;
-        Net.add_stage net ~sw:a (Ff_boosters.Heavy_hitter.mark_offenders_stage hh);
+        Net.add_stage net ~sw:a (B.Heavy_hitter.mark_offenders_stage hh);
         install_fanout_guard net ~sw:a ~max_flows:6 ~window:2.0 ~seed:(0xFA6 lxor seed)
           ~on_trip:(fun _src ->
             on_alarm
-              { Ff_boosters.Lfa_detector.switch = a; attack = Ff_dataplane.Packet.Volumetric })
+              { B.Lfa_detector.switch = a; attack = Ff_dataplane.Packet.Volumetric })
           ~on_calm:(fun _src ->
             on_clear
-              { Ff_boosters.Lfa_detector.switch = a; attack = Ff_dataplane.Packet.Volumetric });
+              { B.Lfa_detector.switch = a; attack = Ff_dataplane.Packet.Volumetric });
         droppers :=
-          Ff_boosters.Dropper.install net ~sw:a ~rate_limit:100_000. ~drop_prob:0.9 ()
+          B.Dropper.install net ~sw:a ~rate_limit:100_000. ~drop_prob:0.9 ()
           :: !droppers)
       aggs
   | Adaptive.Epoch_time ->
@@ -730,16 +643,18 @@ let run_adversarial ~strategy ~adversary ?(hardened = false) ?(seed = 1)
     List.iter
       (fun a ->
         let hh =
-          Ff_boosters.Heavy_hitter.install net ~sw:a ~epoch:1.0 ~threshold_bps:1_200_000.
+          B.Heavy_hitter.install net ~sw:a ~epoch:1.0 ~threshold_bps:1_200_000.
             ~key_of:(fun pkt -> pkt.Ff_dataplane.Packet.src)
-            ~epoch_jitter:hh_epoch_jitter ~threshold_jitter:hh_thr_jitter
-            ~rotate_period:hh_rotate ~src_hold:hh_src_hold ~seed:hh_seed ~on_alarm
+            ~epoch_jitter:hh_h.Orchestrator.h_epoch_jitter
+            ~threshold_jitter:hh_h.Orchestrator.h_hh_threshold_jitter
+            ~rotate_period:hh_h.Orchestrator.h_rotate_period
+            ~src_hold:hh_h.Orchestrator.h_src_hold ~seed:hh_h.Orchestrator.h_seed ~on_alarm
             ~on_clear ()
         in
         hhs := hh :: !hhs;
-        Net.add_stage net ~sw:a (Ff_boosters.Heavy_hitter.mark_offenders_stage hh);
+        Net.add_stage net ~sw:a (B.Heavy_hitter.mark_offenders_stage hh);
         droppers :=
-          Ff_boosters.Dropper.install net ~sw:a ~rate_limit:100_000. ~drop_prob:0.9 ()
+          B.Dropper.install net ~sw:a ~rate_limit:100_000. ~drop_prob:0.9 ()
           :: !droppers)
       aggs);
   (* the adversary *)
@@ -785,11 +700,11 @@ let run_adversarial ~strategy ~adversary ?(hardened = false) ?(seed = 1)
      let last_drops = ref 0 in
      Engine.every engine ~start:0.5 ~period:0.5 (fun () ->
          let drops =
-           List.fold_left (fun acc d -> acc + Ff_boosters.Dropper.dropped d) 0 !droppers
+           List.fold_left (fun acc d -> acc + B.Dropper.dropped d) 0 !droppers
          in
          let offn =
            List.fold_left
-             (fun acc hh -> acc + List.length (Ff_boosters.Heavy_hitter.offenders hh))
+             (fun acc hh -> acc + List.length (B.Heavy_hitter.offenders hh))
              0 !hhs
          in
          let util =
@@ -819,81 +734,67 @@ let run_adversarial ~strategy ~adversary ?(hardened = false) ?(seed = 1)
           0. watched
       in
       Workfactor.sample wf ~now ~dt:sample_dt ~util);
-  Engine.run engine ~until:duration;
+  let read () =
+    let atk_metric f = match atk with Some a -> f a | None -> 0 in
+    {
+      events = [ attack_start ];
+      metrics =
+        [ ("probes", num (Workfactor.probes wf));
+          ("damage", Workfactor.damage wf);
+          ("peak_util", Workfactor.peak_util wf);
+          ("effective", flag (Workfactor.effective_at wf <> None));
+          ("time_to_effective", Workfactor.time_to_effective wf ~horizon:duration);
+          ("work_factor", Workfactor.work_factor wf ~horizon:duration);
+          ("alarms", num !alarms);
+          ("drops", num (sum B.Dropper.dropped !droppers));
+          ("rotations", num (sum B.Heavy_hitter.rotations !hhs));
+          ("fingerprint",
+           num (atk_metric (fun a -> Adaptive.fingerprint a land ((1 lsl 52) - 1)))) ];
+      log =
+        (match atk with
+        | Some a ->
+          Adaptive.summary a
+          :: List.map (fun (at, msg) -> Printf.sprintf "%6.2f %s" at msg) (Adaptive.log a)
+        | None -> []);
+    }
+  in
   {
-    ar_strategy = strategy;
-    ar_hardened = hardened;
-    ar_adversary = adversary;
-    ar_probes = Workfactor.probes wf;
-    ar_damage = Workfactor.damage wf;
-    ar_peak_util = Workfactor.peak_util wf;
-    ar_effective_at = Workfactor.effective_at wf;
-    ar_time_to_effective = Workfactor.time_to_effective wf ~horizon:duration;
-    ar_work_factor = Workfactor.work_factor wf ~horizon:duration;
-    ar_alarms = !alarms;
-    ar_drops = List.fold_left (fun acc d -> acc + Ff_boosters.Dropper.dropped d) 0 !droppers;
-    ar_rotations =
-      List.fold_left (fun acc hh -> acc + Ff_boosters.Heavy_hitter.rotations hh) 0 !hhs;
-    ar_fingerprint = (match atk with Some a -> Adaptive.fingerprint a | None -> 0);
-    ar_summary = (match atk with Some a -> Adaptive.summary a | None -> "open-loop");
-    ar_log =
-      (match atk with
-      | Some a ->
-        List.map (fun (at, msg) -> Printf.sprintf "%6.2f %s" at msg) (Adaptive.log a)
-      | None -> []);
+    scenario = "adversarial";
+    variant =
+      String.concat " "
+        ([ Adaptive.strategy_name strategy;
+           (match adversary with Closed_loop -> "closed-loop" | Open_loop -> "open-loop") ]
+        @ if hardened then [ "hardened" ] else []);
+    net;
+    duration;
+    pre_attack = (0., attack_start);
+    attack = (attack_start, duration);
+    goodput = None;
+    series = [];
+    protocol = Some protocol;
+    read;
   }
-
-let pp_adversarial fmt r =
-  Format.fprintf fmt
-    "%s %s %s: probes=%d damage=%.2f peak=%.2f tte=%.1fs wf=%.0f alarms=%d drops=%d rot=%d@.  %s@."
-    (Adaptive.strategy_name r.ar_strategy)
-    (match r.ar_adversary with Closed_loop -> "closed-loop" | Open_loop -> "open-loop")
-    (if r.ar_hardened then "hardened" else "unhardened")
-    r.ar_probes r.ar_damage r.ar_peak_util r.ar_time_to_effective r.ar_work_factor
-    r.ar_alarms r.ar_drops r.ar_rotations r.ar_summary
 
 (* ---- hybrid fluid/packet ISP scenario ---------------------------------- *)
 
 module Hybrid = Ff_fluid.Hybrid
 module Fluid = Ff_fluid.Fluid
 
-type fluid_result = {
-  fr_flows : int;
-  fr_classes : int;
-  fr_duration : float;
-  fr_packet_tx : int;
-  fr_fluid_hop_bytes : float;
-  fr_packet_equivalents : float;
-  fr_delivered_bytes : float;
-  fr_demoted_peak : int;
-  fr_demoted_frac_peak : float;
-  fr_demotions : int;
-  fr_promotions : int;
-  fr_mode_changes : int;
-  fr_rolls : int;
-  fr_rate_events : int;
-  fr_solver : Fluid.solver_stats;
-  fr_touched_frac : float;
-  fr_demote_denied : int;
-  fr_goodput : Series.t;
-  fr_drops : (string * int) list;
-}
-
-let run_lfa_fluid ?(flows = 100_000) ?(duration = 40.) ?(force = Hybrid.Auto)
-    ?(defended = true) ?(seed = 11) ?(flow_rate_bps = 25_000.) ?(packet_size = 1000)
-    ?(update_period = 0.25) ?(cores = 12) ?(access_per_core = 2) ?(hosts_per_access = 4)
-    ?(attack_start = 10.) ?(attack_stop = 18.) ?(roll_at = 14.)
-    ?(attack_bps_per_flow = 60_000_000.) ?(packet_recon = true)
-    ?solver ?demote_budget ?(goodput_period = 0.5) ?obs () =
-  let topo =
-    Topology.isp ~cores ~access_per_core ~hosts_per_access ()
-  in
+let lfa_fluid ?(flows = 100_000) ?(duration = 40.) ?(force = Hybrid.Auto)
+    ?(flow_rate_bps = 25_000.) ?(cores = 12) ?(attack_start = 10.) ?(attack_stop = 18.)
+    ?(roll_at = 14.) ?(attack_bps_per_flow = 60_000_000.) ?(packet_recon = true)
+    ?demote_budget ?(goodput_period = 0.5) () =
+  let hosts_per_access = 4 and packet_size = 1000 in
+  let topo = Topology.isp ~cores ~access_per_core:2 ~hosts_per_access () in
   let engine = Engine.create () in
   let net = Net.create engine topo in
-  Net.attach_obs net obs;
+  (* per-solve fluid events would swamp an ambient trace at this scale;
+     callers that want them attach a trace to [net s] *)
+  Net.attach_obs net None;
   install_all_routes net;
-  let hosts = List.map (fun (n : Topology.node) -> n.Topology.id) (Topology.hosts topo) in
-  let host_arr = Array.of_list hosts in
+  let host_arr =
+    Array.of_list (List.map (fun (n : Topology.node) -> n.Topology.id) (Topology.hosts topo))
+  in
   let nh = Array.length host_arr in
   let behind_access a =
     Array.to_list (Array.sub host_arr (a * hosts_per_access) hosts_per_access)
@@ -901,55 +802,47 @@ let run_lfa_fluid ?(flows = 100_000) ?(duration = 40.) ?(force = Hybrid.Auto)
   let victim, decoys_a =
     match behind_access 0 with
     | v :: rest -> (v, rest)
-    | [] -> invalid_arg "run_lfa_fluid: empty access"
+    | [] -> invalid_arg "Scenario.lfa_fluid: empty access"
   in
-  let decoys_b =
-    if access_per_core >= 2 then behind_access 1 else decoys_a
-  in
+  let decoys_b = behind_access 1 in
   (* bots: the first host of up to 8 PoPs spread away from PoP 0 *)
   let bots =
     let pops = List.init (cores - 3) (fun i -> 2 + i) in
     let step = Float.max 1. (float_of_int (List.length pops) /. 8.) in
     List.init (min 8 (List.length pops)) (fun i ->
         let p = List.nth pops (int_of_float (float_of_int i *. step)) in
-        host_arr.(p * access_per_core * hosts_per_access))
+        host_arr.(p * 2 * hosts_per_access))
   in
-  let hybrid = Hybrid.create ~force ~update_period ?solver ?demote_budget net () in
+  let hybrid = Hybrid.create ~force ~update_period:0.25 ?demote_budget net () in
   (* benign population: uniform-rate CBR-class flows between random host
      pairs; one rate level keeps the path-class count at O(host pairs) *)
-  let rng = Ff_util.Prng.create ~seed in
+  let rng = Ff_util.Prng.create ~seed:11 in
   let rate_pps = flow_rate_bps /. float_of_int (8 * packet_size) in
   let benign =
     List.init flows (fun _ ->
         let src = host_arr.(Ff_util.Prng.int rng nh) in
         let dst = ref host_arr.(Ff_util.Prng.int rng nh) in
         while !dst = src do dst := host_arr.(Ff_util.Prng.int rng nh) done;
-        Hybrid.add_flow hybrid ~src ~dst:!dst
-          (Hybrid.Cbr { rate_pps; packet_size }))
+        Hybrid.add_flow hybrid ~src ~dst:!dst (Hybrid.Cbr { rate_pps; packet_size }))
   in
   let wide =
-    if defended then
-      Some
-        (Orchestrator.deploy_wide net ~protect:(victim :: (decoys_a @ decoys_b))
-           ~config:
-             {
-               Orchestrator.default_config with
-               region_ttl = 1;
-               min_dwell = 0.5;
-               clear_hold = 1.5;
-               check_period = 0.1;
-             }
-           ~on_mode:(fun ~sw ~attack:_ ~active ->
-             if active then Hybrid.mark_hot hybrid ~node:sw
-             else Hybrid.clear_hot hybrid ~node:sw)
-           ())
-    else None
+    Orchestrator.deploy_wide net ~protect:(victim :: (decoys_a @ decoys_b))
+      ~config:
+        {
+          Orchestrator.default_config with
+          region_ttl = 1;
+          min_dwell = 0.5;
+          clear_hold = 1.5;
+          check_period = 0.1;
+        }
+      ~on_mode:(fun ~sw ~attack:_ ~active ->
+        if active then Hybrid.mark_hot hybrid ~node:sw else Hybrid.clear_hot hybrid ~node:sw)
+      ()
   in
   (* the flood volume rides the fluid tier; the packet-level side of the
      adversary (recon traceroutes + low-rate TCP decoy flows) is optional *)
   let volume =
-    Ff_attacks.Lfa.Fluid_volume.launch hybrid ~bots
-      ~decoy_groups:[ decoys_a; decoys_b ]
+    Ff_attacks.Lfa.Fluid_volume.launch hybrid ~bots ~decoy_groups:[ decoys_a; decoys_b ]
       ~rate_bps_per_flow:attack_bps_per_flow ~packet_size ~start:attack_start
       ~stop:attack_stop ~roll_schedule:[ roll_at ] ()
   in
@@ -964,41 +857,57 @@ let run_lfa_fluid ?(flows = 100_000) ?(duration = 40.) ?(force = Hybrid.Auto)
   let benign_delivered () =
     List.fold_left (fun acc m -> acc +. Hybrid.delivered_bytes hybrid m) 0. benign
   in
-  let fr_goodput =
+  let goodput =
     Monitor.aggregate_goodput net
       ~probes:[ Monitor.counter_probe benign_delivered ]
       ~period:goodput_period ~until:duration ~name:"fluid_goodput" ()
   in
-  Engine.run engine ~until:duration;
-  ignore volume;
-  (match recon with Some a -> Ff_attacks.Lfa.stop_now a | None -> ());
-  let fluid = Hybrid.fluid hybrid in
-  let fr_packet_tx = Net.total_tx_packets net in
-  let fr_fluid_hop_bytes = Fluid.hop_bytes fluid in
+  let read () =
+    Option.iter Ff_attacks.Lfa.stop_now recon;
+    let fluid = Hybrid.fluid hybrid in
+    let st = Fluid.solver_stats fluid in
+    let packet_tx = Net.total_tx_packets net in
+    let hop_bytes = Fluid.hop_bytes fluid in
+    let rolls = Ff_attacks.Lfa.Fluid_volume.rolls volume in
+    let demoted_peak = Hybrid.demoted_peak hybrid in
+    {
+      events = attack_start :: rolls;
+      metrics =
+        [ ("flows", num flows);
+          ("classes", num (Fluid.classes fluid));
+          ("packet_tx", num packet_tx);
+          ("fluid_hop_bytes", hop_bytes);
+          ("packet_equivalents", (hop_bytes /. num packet_size) +. num packet_tx);
+          ("delivered_bytes", benign_delivered ());
+          ("demoted_peak", num demoted_peak);
+          ("demoted_frac_peak", if flows = 0 then 0. else num demoted_peak /. num flows);
+          ("demotions", num (Hybrid.demotions hybrid));
+          ("promotions", num (Hybrid.promotions hybrid));
+          ("demote_denied", num (Hybrid.demote_denied hybrid));
+          ("rolls", num (List.length rolls));
+          ("rate_events", num (Fluid.rate_events fluid));
+          ("solves", num st.Fluid.solves);
+          ("skipped", num st.Fluid.skipped);
+          ("full_solves", num st.Fluid.full_solves);
+          ("touched_frac", Fluid.touched_frac fluid);
+          ("loss_cuts", num st.Fluid.loss_cuts);
+          ("max_component", num st.Fluid.max_component) ];
+      log = [];
+    }
+  in
   {
-    fr_flows = flows;
-    fr_classes = Fluid.classes fluid;
-    fr_duration = duration;
-    fr_packet_tx;
-    fr_fluid_hop_bytes;
-    fr_packet_equivalents =
-      (fr_fluid_hop_bytes /. float_of_int packet_size) +. float_of_int fr_packet_tx;
-    fr_delivered_bytes = benign_delivered ();
-    fr_demoted_peak = Hybrid.demoted_peak hybrid;
-    fr_demoted_frac_peak =
-      (if flows = 0 then 0.
-       else float_of_int (Hybrid.demoted_peak hybrid) /. float_of_int flows);
-    fr_demotions = Hybrid.demotions hybrid;
-    fr_promotions = Hybrid.promotions hybrid;
-    fr_mode_changes =
-      (match wide with
-      | Some w -> Ff_modes.Protocol.transitions w.Orchestrator.w_protocol
-      | None -> 0);
-    fr_rolls = List.length (Ff_attacks.Lfa.Fluid_volume.rolls volume);
-    fr_rate_events = Fluid.rate_events fluid;
-    fr_solver = Fluid.solver_stats fluid;
-    fr_touched_frac = Fluid.touched_frac fluid;
-    fr_demote_denied = Hybrid.demote_denied hybrid;
-    fr_goodput;
-    fr_drops = Net.drops_by_reason net;
+    scenario = "lfa-fluid";
+    variant =
+      (match force with
+      | Hybrid.Auto -> "hybrid"
+      | Hybrid.All_packet -> "all-packet"
+      | Hybrid.All_fluid -> "all-fluid");
+    net;
+    duration;
+    pre_attack = (attack_start -. 6., attack_start -. 1.);
+    attack = (attack_start +. 2., attack_stop);
+    goodput = Some goodput;
+    series = [];
+    protocol = Some wide.Orchestrator.w_protocol;
+    read;
   }

@@ -55,56 +55,3 @@ let estimate_resources body =
     ~alus:(float_of_int alus)
     ~hash_units:(float_of_int (distinct hashes))
     ()
-
-let stmt_regs s =
-  let regs, _, _ = stmt_stats ([], [], 0) s in
-  List.sort_uniq compare regs
-
-let rec stmt_drops = function
-  | Ppm.Drop_when _ -> true
-  | Ppm.If (_, yes, no) -> List.exists stmt_drops yes || List.exists stmt_drops no
-  | Ppm.Set_meta _ | Ppm.Reg_write _ | Ppm.Mark_suspicious _ | Ppm.Emit_probe _
-  | Ppm.Apply_table _ -> false
-
-let rec stmt_touches_packet_state = function
-  | Ppm.Reg_write _ -> true
-  | Ppm.Mark_suspicious _ | Ppm.Drop_when _ | Ppm.Emit_probe _ | Ppm.Apply_table _ -> true
-  | Ppm.Set_meta (_, e) ->
-    let regs, _, _ = expr_stats ([], [], 0) e in
-    regs <> []
-  | Ppm.If (_, yes, no) ->
-    List.exists stmt_touches_packet_state yes || List.exists stmt_touches_packet_state no
-
-let intersects a b = List.exists (fun x -> List.mem x b) a
-
-let decompose ~booster ?(max_stmts_per_ppm = 6) body =
-  (* Walk the program, accumulating the current PPM; close it when the next
-     statement shares no register with it (state-affinity boundary) or the
-     soft size limit is reached with no coupling. *)
-  let close acc cur =
-    match cur with [] -> acc | stmts -> List.rev stmts :: acc
-  in
-  let rec walk acc cur cur_regs = function
-    | [] -> List.rev (close acc cur)
-    | s :: rest ->
-      let regs = stmt_regs s in
-      let coupled = cur = [] || intersects regs cur_regs in
-      let full = List.length cur >= max_stmts_per_ppm in
-      if coupled && not full then
-        walk acc (s :: cur) (List.sort_uniq compare (regs @ cur_regs)) rest
-      else walk (close acc cur) [ s ] regs rest
-  in
-  let groups = walk [] [] [] body in
-  let role_of group =
-    if List.exists stmt_drops group then Ppm.Mitigation
-    else if List.for_all (fun s -> not (stmt_touches_packet_state s)) group then Ppm.Parser
-    else Ppm.Detection
-  in
-  List.mapi
-    (fun i group ->
-      Ppm.make_spec
-        ~name:(Printf.sprintf "%s-ppm%d" booster i)
-        ~booster ~role:(role_of group) ~resources:(estimate_resources group) group)
-    groups
-
-let roundtrip specs = List.concat_map (fun s -> s.Ppm.body) specs

@@ -589,10 +589,14 @@ let solve t =
      holds the previous solve's evaluation, so the comparison is against
      the same reference whether or not the class was touched then. *)
   let active = ref 0 in
+  (* classes carrying rate or giving it back: the population [touched_frac]
+     is a fraction of *)
+  let live = ref 0 in
   for id = 0 to t.n_cls - 1 do
     let c = t.cls.(id) in
     let act = c.c_members > 0 && Array.length c.c_links > 0 in
     c.c_active <- act;
+    if act || c.c_rate <> 0. then incr live;
     if act then begin
       incr active;
       let cp = cap_now t c now in
@@ -721,8 +725,13 @@ let solve t =
       done
     end;
     t.st_solves <- t.st_solves + 1;
-    t.st_touched <- t.st_touched + Vec.length t.touched;
-    t.st_seen <- t.st_seen + !active;
+    (* component expansion can also reach dead classes (no members, no
+       rate); they are not part of the population *)
+    for k = 0 to Vec.length t.touched - 1 do
+      let c = t.cls.(Vec.get t.touched k) in
+      if c.c_active || c.c_rate <> 0. then t.st_touched <- t.st_touched + 1
+    done;
+    t.st_seen <- t.st_seen + !live;
     (* 7. rate assignment: bound-limited classes directly, bottlenecked ones
        by water-filling their component (entered at its lowest class id in
        either mode, so the float-op order is canonical) *)

@@ -68,8 +68,10 @@ type solver_stats = {
   solves : int;  (** solver passes that had work to do *)
   skipped : int;  (** passes where nothing was dirty (solution kept) *)
   full_solves : int;  (** passes that fell back to (or forced) a full fill *)
-  touched_classes : int;  (** cumulative classes re-assigned across solves *)
-  seen_classes : int;  (** cumulative active classes across solves *)
+  touched_classes : int;  (** cumulative [seen_classes] re-assigned across solves *)
+  seen_classes : int;
+      (** cumulative classes carrying rate or giving it back (active, or
+          detached with a non-zero rate) across solves *)
   loss_cuts : int;  (** AIMD cuts triggered by packet-tier drops *)
   max_component : int;  (** largest water-filled component *)
 }
@@ -206,9 +208,9 @@ val rate_events : t -> int
 val solver_stats : t -> solver_stats
 
 val touched_frac : t -> float
-(** [touched_classes / seen_classes] — the fraction of active classes the
-    solver actually re-assigned, cumulatively. 1.0 means every solve was
-    effectively full. *)
+(** [touched_classes / seen_classes] — the fraction of the classes carrying
+    or giving back rate that the solver actually re-assigned, cumulatively;
+    at most 1.0, which means every solve was effectively full. *)
 
 val dump_rates : t -> (int * float * float) list
 (** [(class id, per-flow rate, cap)] for every class, in id order — the

@@ -10,6 +10,7 @@ module Flow = Ff_netsim.Flow
 module Hashpipe = Ff_dataplane.Hashpipe
 module B = Ff_boosters
 module Scenario = Fastflex.Scenario
+module Report = Fastflex.Report
 module Adaptive = Ff_attacks.Adaptive
 
 (* ---------------- seeded determinism ---------------- *)
@@ -19,19 +20,15 @@ module Adaptive = Ff_attacks.Adaptive
    results are compared by bit pattern, not tolerance. *)
 let check_replay ~strategy ~hardened () =
   let run () =
-    Scenario.run_adversarial ~strategy ~adversary:Scenario.Closed_loop ~hardened ~seed:5
-      ~duration:30. ()
+    Scenario.run
+      (Scenario.adversarial ~strategy ~adversary:Scenario.Closed_loop ~hardened ~seed:5
+         ~duration:30. ())
   in
   let a = run () and b = run () in
-  Alcotest.(check int) "fingerprint" a.Scenario.ar_fingerprint b.Scenario.ar_fingerprint;
-  Alcotest.(check int) "probes" a.Scenario.ar_probes b.Scenario.ar_probes;
-  Alcotest.(check int) "drops" a.Scenario.ar_drops b.Scenario.ar_drops;
-  Alcotest.(check int64) "damage bits"
-    (Int64.bits_of_float a.Scenario.ar_damage)
-    (Int64.bits_of_float b.Scenario.ar_damage);
-  Alcotest.(check int64) "work-factor bits"
-    (Int64.bits_of_float a.Scenario.ar_work_factor)
-    (Int64.bits_of_float b.Scenario.ar_work_factor)
+  let bits r k = Int64.bits_of_float (Report.metric r k) in
+  List.iter
+    (fun k -> Alcotest.(check int64) (k ^ " bits") (bits a k) (bits b k))
+    [ "fingerprint"; "probes"; "drops"; "damage"; "work_factor" ]
 
 let test_replay_collision_probe () =
   check_replay ~strategy:Adaptive.Collision_probe ~hardened:false ()

@@ -170,60 +170,12 @@ let flat_program =
     Ppm.Drop_when (Ppm.Cmp (Ppm.Gt, Ppm.Meta "count", Ppm.Const 100.));
   ]
 
-let test_decompose_order_preserved () =
-  let ppms = Decompose.decompose ~booster:"x" flat_program in
-  Alcotest.(check bool) "multiple ppms" true (List.length ppms >= 2);
-  Alcotest.(check bool) "concatenation is the original program" true
-    (Decompose.roundtrip ppms = flat_program)
-
-let test_decompose_state_affinity () =
-  let ppms = Decompose.decompose ~booster:"x" flat_program in
-  (* the two writes to register b must share one PPM *)
-  let owner stmt =
-    List.find_opt (fun p -> List.mem stmt p.Ppm.body) ppms
-  in
-  let b0 = Ppm.Reg_write ("b", Ppm.Const 0., Ppm.Field "size") in
-  let b1 = Ppm.Reg_write ("b", Ppm.Const 1., Ppm.Field "ttl") in
-  (match (owner b0, owner b1) with
-  | Some p0, Some p1 ->
-    Alcotest.(check string) "b-cluster co-located" p0.Ppm.name p1.Ppm.name
-  | _ -> Alcotest.fail "statements lost");
-  (* a-cluster and b-cluster are split *)
-  let a0 =
-    Ppm.Reg_write ("a", Ppm.Meta "key",
-       Ppm.Binop (Ppm.Add, Ppm.Reg_read ("a", Ppm.Meta "key"), Ppm.Const 1.))
-  in
-  match (owner a0, owner b0) with
-  | Some pa, Some pb ->
-    Alcotest.(check bool) "disjoint state split" true (pa.Ppm.name <> pb.Ppm.name)
-  | _ -> Alcotest.fail "statements lost"
-
-let test_decompose_roles () =
-  let ppms = Decompose.decompose ~booster:"x" flat_program in
-  let last = List.nth ppms (List.length ppms - 1) in
-  Alcotest.(check bool) "dropping PPM is mitigation" true (last.Ppm.role = Ppm.Mitigation)
-
 let test_estimate_resources_monotone () =
   let small = Decompose.estimate_resources [ List.hd flat_program ] in
   let big = Decompose.estimate_resources flat_program in
   Alcotest.(check bool) "more statements, more stages" true
     (big.Resource.stages >= small.Resource.stages);
   Alcotest.(check bool) "registers counted" true (big.Resource.sram_kb >= 128.)
-
-let prop_decompose_roundtrip =
-  QCheck.Test.make ~name:"decomposition always preserves program order" ~count:100
-    QCheck.(list_of_size (Gen.int_range 0 20) (int_range 0 4))
-    (fun choices ->
-      let stmt_of i =
-        match i with
-        | 0 -> Ppm.Set_meta ("m", Ppm.Field "size")
-        | 1 -> Ppm.Reg_write ("r1", Ppm.Const 0., Ppm.Field "size")
-        | 2 -> Ppm.Reg_write ("r2", Ppm.Const 0., Ppm.Field "ttl")
-        | 3 -> Ppm.Drop_when (Ppm.Cmp (Ppm.Gt, Ppm.Field "size", Ppm.Const 100.))
-        | _ -> Ppm.Emit_probe "p"
-      in
-      let program = List.map stmt_of choices in
-      Decompose.roundtrip (Decompose.decompose ~booster:"q" program) = program)
 
 (* ---------------- Static checking ---------------- *)
 
@@ -308,7 +260,7 @@ let prop_canonical_stable_under_renaming =
 let () =
   let qcheck =
     List.map Test_seed.to_alcotest
-      [ prop_canonical_stable_under_renaming; prop_decompose_roundtrip ]
+      [ prop_canonical_stable_under_renaming ]
   in
   Alcotest.run "ff_dataflow"
     [
@@ -332,9 +284,6 @@ let () =
         ] );
       ( "decompose",
         [
-          Alcotest.test_case "order preserved" `Quick test_decompose_order_preserved;
-          Alcotest.test_case "state affinity" `Quick test_decompose_state_affinity;
-          Alcotest.test_case "roles" `Quick test_decompose_roles;
           Alcotest.test_case "resource estimate monotone" `Quick
             test_estimate_resources_monotone;
         ] );

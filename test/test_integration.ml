@@ -2,6 +2,7 @@
    case-study scenario (shortened versions of paper Figure 3). *)
 
 module Scenario = Fastflex.Scenario
+module Report = Fastflex.Report
 module Orchestrator = Fastflex.Orchestrator
 module Compile = Fastflex.Compile
 module Series = Ff_util.Series
@@ -10,29 +11,29 @@ module Packet = Ff_dataplane.Packet
 (* One 60-second round: attack starts at 10 s, no forced rolls. *)
 let one_round = { Scenario.default_attack with roll_schedule = []; start = 10. }
 
-let run defense =
-  Scenario.run_lfa ~defense ~attack:(Some one_round) ~duration:60. ()
+let run defense = Scenario.run (Scenario.lfa ~defense ~attack:(Some one_round) ~duration:60. ())
+let mean r = Report.metric r "goodput_mean"
 
 let test_no_attack_stays_at_baseline () =
-  let r = Scenario.run_lfa ~defense:Scenario.No_defense ~attack:None ~duration:30. () in
-  Alcotest.(check bool) "positive baseline" true (r.Scenario.baseline_goodput > 100_000.);
-  Alcotest.(check bool) "mean stays near 1" true (r.Scenario.mean_during_attack > 0.9);
-  Alcotest.(check int) "no rolls" 0 (List.length r.Scenario.rolls)
+  let r = Scenario.run (Scenario.lfa ~defense:Scenario.No_defense ~attack:None ~duration:30. ()) in
+  Alcotest.(check bool) "positive baseline" true (Report.metric r "goodput_baseline" > 100_000.);
+  Alcotest.(check bool) "mean stays near 1" true (mean r > 0.9);
+  Alcotest.(check int) "no rolls" 0 (Report.count r "rolls")
 
 let test_attack_hurts_undefended () =
   let r = run Scenario.No_defense in
-  Alcotest.(check bool) "mean degraded" true (r.Scenario.mean_during_attack < 0.8);
-  Alcotest.(check bool) "deep dip" true (r.Scenario.min_during_attack < 0.7)
+  Alcotest.(check bool) "mean degraded" true (mean r < 0.8);
+  Alcotest.(check bool) "deep dip" true (Report.metric r "goodput_min" < 0.7)
 
 let test_fastflex_recovers_fast () =
   let r = run (Scenario.Fastflex Orchestrator.default_config) in
-  Alcotest.(check bool) "high mean under attack" true (r.Scenario.mean_during_attack > 0.85);
+  Alcotest.(check bool) "high mean under attack" true (mean r > 0.85);
   (* the multimode data plane activated and the detector marked traffic *)
-  Alcotest.(check bool) "modes changed" true (List.length r.Scenario.mode_log > 0);
-  Alcotest.(check bool) "flows classified" true (r.Scenario.suspicious_marked > 1000);
-  Alcotest.(check bool) "probes circulated" true (r.Scenario.probes_sent > 100);
+  Alcotest.(check bool) "modes changed" true (List.length r.Report.mode_log > 0);
+  Alcotest.(check bool) "flows classified" true (Report.count r "marked" > 1000);
+  Alcotest.(check bool) "probes circulated" true (Report.count r "probes" > 100);
   (* recovery at data plane timescale: within 5 s of attack start *)
-  (match r.Scenario.recovery_times with
+  (match r.Report.recovery_times with
   | (_, rt) :: _ -> Alcotest.(check bool) "recovers within 5 s" true (rt < 5.)
   | [] -> Alcotest.fail "no recovery measured")
 
@@ -41,88 +42,88 @@ let test_fastflex_beats_baseline_and_none () =
   let sdn = run (Scenario.Baseline_sdn { period = 30.; delay = 0.5 }) in
   let none = run Scenario.No_defense in
   Alcotest.(check bool) "fastflex > baseline sdn" true
-    (ff.Scenario.mean_during_attack > sdn.Scenario.mean_during_attack);
-  Alcotest.(check bool) "fastflex > no defense" true
-    (ff.Scenario.mean_during_attack > none.Scenario.mean_during_attack +. 0.15)
+    (mean ff > mean sdn);
+  Alcotest.(check bool) "fastflex > no defense" true (mean ff > mean none +. 0.15)
 
 let test_baseline_sdn_reconfigures () =
   let r = run (Scenario.Baseline_sdn { period = 20.; delay = 0.5 }) in
-  Alcotest.(check bool) "controller ran" true (List.length r.Scenario.reconfigs >= 2);
-  Alcotest.(check int) "no data plane mode changes" 0 (List.length r.Scenario.mode_log)
+  Alcotest.(check bool) "controller ran" true (Report.count r "reconfigs" >= 2);
+  Alcotest.(check int) "no data plane mode changes" 0 (List.length r.Report.mode_log)
 
 let test_fastflex_obfuscation_suppresses_rolling () =
   (* an attacker rolling on path changes: under FastFlex the observed
      topology never changes, so only scheduled rolls occur *)
   let plan = { Scenario.default_attack with roll_schedule = [ 30. ]; start = 10. } in
   let r =
-    Scenario.run_lfa ~defense:(Scenario.Fastflex Orchestrator.default_config)
-      ~attack:(Some plan) ~duration:60. ()
+    Scenario.run
+      (Scenario.lfa ~defense:(Scenario.Fastflex Orchestrator.default_config)
+         ~attack:(Some plan) ~duration:60. ())
   in
-  Alcotest.(check (list (float 0.01))) "only the scheduled roll" [ 30. ] r.Scenario.rolls
+  Alcotest.(check (list (float 0.01))) "only the scheduled roll" [ 10.; 30. ]
+    r.Report.attack_events
 
 let test_modes_return_to_default () =
   (* a short attack that ends: every activation must eventually clear *)
   let plan = { one_round with start = 5. } in
   let r =
-    Scenario.run_lfa ~defense:(Scenario.Fastflex Orchestrator.default_config)
-      ~attack:(Some plan) ~duration:60. ()
+    Scenario.run
+      (Scenario.lfa ~defense:(Scenario.Fastflex Orchestrator.default_config)
+         ~attack:(Some plan) ~duration:60. ())
   in
-  ignore r;
   (* we cannot stop the attacker mid-scenario via the public API, so this
      checks the weaker invariant: activations and deactivations balance per
      switch in the log, or the attack is still running at the end *)
   let activations =
-    List.length (List.filter (fun (_, _, _, up) -> up) r.Scenario.mode_log)
+    List.length (List.filter (fun (_, _, _, up) -> up) r.Report.mode_log)
   in
   Alcotest.(check bool) "activations happened" true (activations > 0)
 
 let test_mode_log_covers_all_switches () =
   let r = run (Scenario.Fastflex Orchestrator.default_config) in
   let switches =
-    List.sort_uniq compare (List.map (fun (_, sw, _, _) -> sw) r.Scenario.mode_log)
+    List.sort_uniq compare (List.map (fun (_, sw, _, _) -> sw) r.Report.mode_log)
   in
   (* the Fig2 topology has 10 switches; region_ttl 8 reaches all of them *)
   Alcotest.(check int) "whole region activated" 10 (List.length switches);
   List.iter
     (fun (_, _, attack, _) ->
       Alcotest.(check bool) "lfa modes only" true (attack = Packet.Lfa))
-    r.Scenario.mode_log
+    r.Report.mode_log
 
 let test_series_shapes () =
   let r = run (Scenario.Fastflex Orchestrator.default_config) in
-  Alcotest.(check bool) "normalized sampled" true (Series.length r.Scenario.normalized > 100);
-  Alcotest.(check bool) "attack series sampled" true
-    (Series.length r.Scenario.attack_goodput > 100);
+  Alcotest.(check bool) "normalized sampled" true (Series.length r.Report.normalized > 100);
+  let attack_goodput =
+    List.find (fun s -> Series.name s = "attack-goodput") r.Report.series
+  in
+  Alcotest.(check bool) "attack series sampled" true (Series.length attack_goodput > 100);
   (* normalized pre-attack hovers near 1 *)
   let pre =
     List.filter_map
       (fun (t, v) -> if t > 5. && t < 9. then Some v else None)
-      (Series.points r.Scenario.normalized)
+      (Series.points r.Report.normalized)
   in
   Alcotest.(check bool) "pre-attack near 1" true
     (Float.abs (Ff_util.Stats.mean pre -. 1.) < 0.1)
 
 (* the volumetric scenario: heavy-hitter detection through the mode protocol *)
 let test_volumetric_defended_vs_not () =
-  let undefended = Scenario.run_volumetric ~defended:false ~duration:40. () in
-  let defended = Scenario.run_volumetric ~defended:true ~duration:40. () in
-  Alcotest.(check bool) "flood crushes undefended victim" true
-    (undefended.Scenario.vr_normalized_mean < 0.4);
-  Alcotest.(check bool) "defense restores goodput" true
-    (defended.Scenario.vr_normalized_mean > 0.9);
-  Alcotest.(check bool) "alarm raised" true defended.Scenario.vr_alarmed;
-  Alcotest.(check bool) "modes propagated" true (defended.Scenario.vr_mode_changes >= 10);
+  let undefended = Scenario.run (Scenario.volumetric ~defended:false ~duration:40. ()) in
+  let defended = Scenario.run (Scenario.volumetric ~defended:true ~duration:40. ()) in
+  Alcotest.(check bool) "flood crushes undefended victim" true (mean undefended < 0.4);
+  Alcotest.(check bool) "defense restores goodput" true (mean defended > 0.9);
+  Alcotest.(check int) "alarm raised" 1 (Report.count defended "alarmed");
+  Alcotest.(check bool) "modes propagated" true (List.length defended.Report.mode_log >= 10);
   Alcotest.(check bool) "spoofed packets filtered" true
-    (defended.Scenario.vr_spoofed_filtered > 1000);
-  Alcotest.(check bool) "offenders policed" true (defended.Scenario.vr_offender_drops > 10_000)
+    (Report.count defended "hcf_filtered" > 1000);
+  Alcotest.(check bool) "offenders policed" true (Report.count defended "offender_drops" > 10_000)
 
 let test_volumetric_without_spoofing () =
   (* unspoofed flood: hop-count filtering has nothing to do, but policing
      the heavy hitters still restores the victim *)
-  let d = Scenario.run_volumetric ~defended:true ~duration:40. ~spoof:false () in
-  Alcotest.(check bool) "policing alone recovers" true
-    (d.Scenario.vr_normalized_mean > 0.85);
-  Alcotest.(check int) "nothing spoofed, nothing filtered" 0 d.Scenario.vr_spoofed_filtered
+  let d = Scenario.run (Scenario.volumetric ~defended:true ~duration:40. ~spoof:false ()) in
+  Alcotest.(check bool) "policing alone recovers" true (mean d > 0.85);
+  Alcotest.(check int) "nothing spoofed, nothing filtered" 0 (Report.count d "hcf_filtered")
 
 (* deploy_wide: the pervasive deployment on an arbitrary topology *)
 let test_deploy_wide_on_ring () =

@@ -1,7 +1,8 @@
-(* The SYN-flood proof ring (ISSUE 10): bit-for-bit replay determinism of
-   the end-to-end scenario, exact-member state transfer under chaos loss,
-   and the accept-backlog regression — the cap holds and an uncompleted
-   handshake times out and frees its slot. *)
+(* The SYN-flood proof ring: bit-for-bit replay determinism of every
+   end-to-end scenario setup and the metric names each reports,
+   exact-member state transfer under chaos loss, and the accept-backlog
+   regression — the cap holds and an uncompleted handshake times out and
+   frees its slot. *)
 
 module T = Ff_topology.Topology
 module Engine = Ff_netsim.Engine
@@ -13,27 +14,96 @@ module Transfer = Ff_scaling.Transfer
 module Chaos = Ff_chaos.Chaos
 module Loss = Ff_scaling.Loss
 module Scenario = Fastflex.Scenario
+module Report = Fastflex.Report
 
 let ck_count n = if Test_seed.deep then 5 * n else n
 
 (* ---------------- replay determinism ---------------- *)
 
-(* The whole scenario — flood, cookies, cuckoo tracker, mode protocol —
-   draws only from seeded PRNGs and per-net counters, so two identical
-   invocations in one process must agree on every field, floats
-   included. *)
-let test_replay_determinism () =
-  let defended = Scenario.run_synflood ~defended:true ~duration:25. () in
-  let defended' = Scenario.run_synflood ~defended:true ~duration:25. () in
-  Alcotest.(check bool) "defended replay bit-for-bit" true (defended = defended');
-  let bare = Scenario.run_synflood ~defended:false ~duration:25. () in
-  let bare' = Scenario.run_synflood ~defended:false ~duration:25. () in
-  Alcotest.(check bool) "undefended replay bit-for-bit" true (bare = bare')
+(* Every scenario setup, shortened. Each draws only from seeded PRNGs and
+   per-net counters, so two runs of the same setup in one process must
+   produce equal reports, floats and series included. *)
+let setups =
+  let ff = Scenario.Fastflex Fastflex.Orchestrator.default_config in
+  let adversarial ?hardened strategy =
+    Scenario.adversarial ~strategy ~adversary:Scenario.Closed_loop ?hardened ~duration:20. ()
+  in
+  [ ("lfa fastflex", fun () -> Scenario.lfa ~defense:ff ~duration:25. ());
+    ( "lfa baseline-sdn",
+      fun () ->
+        Scenario.lfa ~defense:(Scenario.Baseline_sdn { period = 10.; delay = 0.5 })
+          ~duration:25. () );
+    ("volumetric defended", fun () -> Scenario.volumetric ~defended:true ~duration:25. ());
+    ("volumetric undefended", fun () -> Scenario.volumetric ~defended:false ~duration:25. ());
+    ("synflood armed", fun () -> Scenario.synflood ~defended:true ~duration:25. ());
+    ("synflood none", fun () -> Scenario.synflood ~defended:false ~duration:25. ());
+    ("adversarial hug", fun () -> adversarial Ff_attacks.Adaptive.Threshold_hug);
+    ( "adversarial open-loop",
+      fun () ->
+        Scenario.adversarial ~strategy:Ff_attacks.Adaptive.Collision_probe
+          ~adversary:Scenario.Open_loop ~duration:20. () );
+    ( "lfa-fluid",
+      fun () ->
+        Scenario.lfa_fluid ~flows:1_000 ~duration:8. ~cores:6 ~attack_start:2. ~attack_stop:6.
+          ~roll_at:4. ~attack_bps_per_flow:150_000_000. () ) ]
 
-let test_hardened_replay_determinism () =
-  let r = Scenario.run_synflood ~defended:true ~hardened:true ~duration:25. () in
-  let r' = Scenario.run_synflood ~defended:true ~hardened:true ~duration:25. () in
-  Alcotest.(check bool) "hardened replay bit-for-bit" true (r = r')
+let hardened_setups =
+  [ ( "synflood armed+hardening",
+      fun () -> Scenario.synflood ~defended:true ~hardened:true ~duration:25. () );
+    ( "adversarial epoch-time hardened",
+      fun () ->
+        Scenario.adversarial ~strategy:Ff_attacks.Adaptive.Epoch_time
+          ~adversary:Scenario.Closed_loop ~hardened:true ~duration:20. () ) ]
+
+(* one run of every setup, shared by the replay and metric-name checks *)
+let first_runs =
+  lazy (List.map (fun (name, setup) -> (name, Scenario.run (setup ()))) (setups @ hardened_setups))
+
+let check_replays setups () =
+  List.iter
+    (fun (name, setup) ->
+      let again = Scenario.run (setup ()) in
+      Alcotest.(check bool)
+        (name ^ " replays bit-for-bit")
+        true
+        (compare (List.assoc name (Lazy.force first_runs)) again = 0))
+    setups
+
+let test_replay_determinism = check_replays setups
+let test_hardened_replay_determinism = check_replays hardened_setups
+
+(* The metric names report.mli documents, per scenario: a renamed or
+   dropped key fails here rather than in a bench table or the CLI. *)
+let documented_metrics =
+  let goodput = [ "goodput_baseline"; "goodput_mean"; "goodput_min" ] in
+  [ ("lfa", goodput @ [ "rolls"; "reconfigs"; "marked"; "probes" ]);
+    ("volumetric", goodput @ [ "hcf_filtered"; "offender_drops"; "alarmed" ]);
+    ( "synflood",
+      goodput
+      @ [ "peak_backlog"; "backlog_drops"; "timeouts"; "established"; "completed"; "failed";
+          "syns_sent"; "cookies_sent"; "validated"; "rejected"; "unverified_drops";
+          "tracker_occupancy"; "tracker_failed_inserts"; "alarmed" ] );
+    ( "adversarial",
+      [ "probes"; "damage"; "peak_util"; "effective"; "time_to_effective"; "work_factor";
+        "alarms"; "drops"; "rotations"; "fingerprint" ] );
+    ( "lfa-fluid",
+      goodput
+      @ [ "flows"; "classes"; "packet_tx"; "fluid_hop_bytes"; "packet_equivalents";
+          "delivered_bytes"; "demoted_peak"; "demoted_frac_peak"; "demotions"; "promotions";
+          "demote_denied"; "rolls"; "rate_events"; "solves"; "skipped"; "full_solves";
+          "touched_frac"; "loss_cuts"; "max_component" ] ) ]
+
+let test_documented_metrics () =
+  List.iter
+    (fun (name, (r : Report.t)) ->
+      match List.assoc_opt r.Report.scenario documented_metrics with
+      | None -> Alcotest.failf "%s: undocumented scenario %S" name r.Report.scenario
+      | Some keys ->
+        Alcotest.(check (list string))
+          (name ^ " metric names")
+          (List.sort compare keys)
+          (List.sort compare (List.map fst r.Report.metrics)))
+    (Lazy.force first_runs)
 
 (* ---------------- listener backlog regression ---------------- *)
 
@@ -154,6 +224,7 @@ let () =
           Alcotest.test_case "replay determinism" `Slow test_replay_determinism;
           Alcotest.test_case "hardened replay determinism" `Slow
             test_hardened_replay_determinism;
+          Alcotest.test_case "documented metric names" `Slow test_documented_metrics;
         ] );
       ( "listener",
         [
