@@ -1552,7 +1552,27 @@ let micro () =
   let sketch = Ff_dataplane.Sketch.create ~rows:4 ~cols:1024 () in
   let bloom = Ff_dataplane.Bloom.create ~bits:8192 ~hashes:4 () in
   let hashpipe = Ff_dataplane.Hashpipe.create ~stages:4 ~slots_per_stage:64 () in
-  let heap = Ff_util.Heap.create () in
+  (* Steady-state event queue ("hold" model): [pending] events at random
+     future times; each op pops the earliest and schedules a new one a
+     random delay after it, so the size stays put and every op pays the
+     sift depth of that size. 300 and 90,000 are the engine's pending
+     peaks on the lfa fat-tree and the 100k-flow hybrid ISP workloads. *)
+  let event_heap_hold pending =
+    let rng = Ff_util.Prng.create ~seed:13 in
+    let delays = Array.init 4096 (fun _ -> Ff_util.Prng.exponential rng ~mean:1.) in
+    let heap = Ff_util.Heap.create () in
+    for i = 0 to pending - 1 do
+      Ff_util.Heap.push heap ~prio:(float_of_int pending *. delays.(i land 4095)) ()
+    done;
+    let k = ref 0 in
+    Test.make
+      ~name:(Printf.sprintf "event-heap-pop-push-%d" pending)
+      (Staged.stage (fun () ->
+           let now = Ff_util.Heap.min_prio heap in
+           Ff_util.Heap.pop_min heap;
+           incr k;
+           Ff_util.Heap.push heap ~prio:(now +. delays.(!k land 4095)) ()))
+  in
   let lm = T.Fig2.build () in
   let key = ref 0 in
   let lfa_parser = List.hd (Ff_boosters.Specs.specs_of "lfa-detector") in
@@ -1576,11 +1596,8 @@ let micro () =
         (Staged.stage (fun () ->
              incr key;
              Ff_dataplane.Hashpipe.update hashpipe ~key:(!key mod 512) ~weight:1.));
-      Test.make ~name:"event-heap-push-pop"
-        (Staged.stage (fun () ->
-             Ff_util.Heap.push heap ~prio:(float_of_int (!key mod 97)) ();
-             incr key;
-             ignore (Ff_util.Heap.pop heap)));
+      event_heap_hold 300;
+      event_heap_hold 90_000;
       Test.make ~name:"equiv-canonicalize"
         (Staged.stage (fun () -> ignore (Ff_dataflow.Equiv.canonical lfa_parser)));
       Test.make ~name:"yen-4-paths-fig2"

@@ -204,8 +204,9 @@ let emit_trace t ~node ~(pkt : Packet.t) kind =
   | Some f ->
     f { time = Engine.now t.engine; node; uid = pkt.Packet.uid; flow = pkt.Packet.flow; kind }
 
-let drop_packet t ~node (pkt : Packet.t) reason =
-  count_drop t reason;
+(* Everything a drop reports except the [drop_reasons] count: the tracer,
+   the obs event and the per-switch metrics counter. *)
+let report_drop t ~node (pkt : Packet.t) reason =
   (* the [Packet_drop] argument itself allocates: build it only when traced *)
   (match t.tracer with None -> () | Some _ -> emit_trace t ~node ~pkt (Packet_drop reason));
   if obs_active t then obs_emit t (Ff_obs.Event.Drop { node; reason });
@@ -226,8 +227,17 @@ let drop_packet t ~node (pkt : Packet.t) reason =
       Ff_obs.Metrics.Counter.incr ctr
     end
 
+let drop_packet t ~node pkt reason =
+  count_drop t reason;
+  report_drop t ~node pkt reason
+
+(* Queue overflows are counted only per directed link ([dl.drops], bumped
+   by [transmit]) — the hottest drop path skips the string-keyed table —
+   and their sum joins the table's reasons here. *)
 let drops_by_reason t =
+  let overflows = Array.fold_left (fun acc dl -> acc + dl.drops) 0 t.dirlinks in
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.drop_reasons []
+  |> (fun l -> if overflows > 0 then ("queue-overflow", overflows) :: l else l)
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let dirlink_opt t ~from_ ~to_ =
@@ -370,7 +380,7 @@ let rec transmit t dl (pkt : Packet.t) =
   else if backlog_bytes +. size > dl.queue_limit then begin
     dl.drops <- dl.drops + 1;
     (match t.drop_hook with None -> () | Some f -> f dl.dl_index);
-    drop_packet t ~node:dl.from_node pkt "queue-overflow"
+    report_drop t ~node:dl.from_node pkt "queue-overflow"
   end
   else begin
     let start = if tnow > dl.busy.busy_until then tnow else dl.busy.busy_until in

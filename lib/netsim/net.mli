@@ -252,6 +252,10 @@ val total_tx_packets : t -> int
     denominator of the packets/s figure the [perf] benchmark reports. *)
 
 val drops_by_reason : t -> (string * int) list
+(** Drop counts by reason, sorted by reason. ["queue-overflow"] is the
+    sum of the per-link counts ({!link_drops}) and appears only when
+    nonzero. *)
+
 val count_drop : t -> string -> unit
 (** Account a drop decided outside a stage (e.g. transport-level). *)
 

@@ -1,18 +1,20 @@
-(** Imperative binary min-heap, the core of the discrete-event engine.
+(** Imperative 4-ary min-heap, the core of the discrete-event engine.
 
     Elements are ordered by a float priority with an integer tiebreaker so
     that events scheduled at the same instant pop in insertion order
     (deterministic simulation).
 
-    Storage is parallel arrays (unboxed float priorities, int sequence
-    numbers, two int tag columns, values), so [push] allocates nothing;
-    the [min_prio]/[min_seq]/[pop_min] group lets callers drain the heap
-    without the option/tuple boxing of [pop].
+    Storage is parallel arrays, so [push] allocates nothing once the
+    capacity is reached. Sifting moves only each element's unboxed float
+    priority, its int sequence number and the index of its payload slot;
+    the payload (two int tags and the value) is written once on push and
+    read once at the top. The [min_prio]/[pop_min] group lets callers
+    drain the heap without the option/tuple boxing of [pop].
 
-    The tag columns carry two unboxed payload ints per element for
-    callers that would otherwise have to box a record per push (the
-    engine's packet lane stores to/from node ids there). [push] and
-    [push_seq] leave them at 0. *)
+    The tags are two unboxed payload ints per element, for callers that
+    would otherwise have to box a record per push (the engine's packet
+    lane stores to/from node ids there). [push] and [push_seq] leave them
+    at 0. *)
 
 type 'a t
 
@@ -42,10 +44,6 @@ val min_prio : 'a t -> float
 (** Priority of the minimum, without boxing. Raises [Invalid_argument]
     when empty — check {!is_empty} first. *)
 
-val min_seq : 'a t -> int
-(** Tiebreak sequence of the minimum. Raises [Invalid_argument] when
-    empty. *)
-
 val top_before : 'a t -> 'b t -> bool
 (** [top_before a b]: does [a]'s minimum order strictly before [b]'s by
     [(prio, seq)]? An empty [b] counts as infinitely late, an empty [a]
@@ -67,8 +65,6 @@ val top_tag2 : 'a t -> int
 val pop_min : 'a t -> 'a
 (** Remove the minimum and return its value, without boxing. Raises
     [Invalid_argument] when empty. *)
-
-val peek : 'a t -> (float * 'a) option
 
 val clear : 'a t -> unit
 (** Empty the heap, releasing every stored value for collection (capacity

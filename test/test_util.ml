@@ -330,6 +330,115 @@ let prop_heap_sorts =
       in
       drain [] = List.sort compare xs)
 
+(* Model check: random interleavings of every mutating entry point
+   against a reference set ordered by (prio, seq). Priorities come from
+   eight values, so ties are the common case and the seq tiebreak decides
+   most comparisons; the longest runs reach about 2,500 pending
+   elements (six levels of the 4-ary tree), with slot reuse after every
+   pop. [push] draws internal seqs from 0, caller seqs are distinct and
+   out of order from 1_000_000 up — the documented way to mix the two. *)
+type heap_op =
+  | Push of float
+  | Push_seq of float
+  | Push_tagged of float * int * int
+  | Pop_min
+  | Clear
+
+let pp_heap_op = function
+  | Push p -> Printf.sprintf "push %g" p
+  | Push_seq p -> Printf.sprintf "push_seq %g" p
+  | Push_tagged (p, a, b) -> Printf.sprintf "push_tagged %g %d %d" p a b
+  | Pop_min -> "pop_min"
+  | Clear -> "clear"
+
+module Heap_model = Set.Make (struct
+  (* prio, seq, tag1, tag2, value *)
+  type t = float * int * int * int * int
+
+  let compare (p1, s1, _, _, _) (p2, s2, _, _, _) =
+    match Float.compare p1 p2 with 0 -> Int.compare s1 s2 | c -> c
+end)
+
+let prop_heap_matches_model =
+  let open QCheck in
+  let prio = Gen.map (fun i -> float_of_int i /. 2.) (Gen.int_bound 7) in
+  let op =
+    Gen.frequency
+      [
+        (1200, Gen.map (fun p -> Push p) prio);
+        (800, Gen.map (fun p -> Push_seq p) prio);
+        ( 1200,
+          Gen.map3 (fun p a b -> Push_tagged (p, a, b)) prio (Gen.int_bound 1000)
+            (Gen.int_range (-5) 5) );
+        (1200, Gen.return Pop_min);
+        (1, Gen.return Clear);
+      ]
+  in
+  Test.make ~name:"heap matches a sorted reference model" ~count:100
+    (make ~print:(Print.list pp_heap_op) Gen.(list_size (int_range 0 6000) op))
+    (fun ops ->
+      let h = Heap.create () in
+      (* a one-element heap at prio 1.0, seq 500_000: ties on prio with
+         internal seqs (before it) and caller seqs (after it) *)
+      let probe = Heap.create () in
+      Heap.push_seq probe ~prio:1.0 ~seq:500_000 ();
+      let model = ref Heap_model.empty and next_seq = ref 0 and caller = ref 0 in
+      let caller_seq () =
+        incr caller;
+        1_000_000 + (!caller * 7919 mod 1_000_003)
+      in
+      let raises f = try ignore (f ()); false with Invalid_argument _ -> true in
+      List.iteri
+        (fun id op ->
+          (match op with
+          | Push prio ->
+            Heap.push h ~prio id;
+            model := Heap_model.add (prio, !next_seq, 0, 0, id) !model;
+            incr next_seq
+          | Push_seq prio ->
+            let seq = caller_seq () in
+            Heap.push_seq h ~prio ~seq id;
+            model := Heap_model.add (prio, seq, 0, 0, id) !model
+          | Push_tagged (prio, tag1, tag2) ->
+            let seq = caller_seq () in
+            Heap.push_tagged h ~prio ~seq ~tag1 ~tag2 id;
+            model := Heap_model.add (prio, seq, tag1, tag2, id) !model
+          | Pop_min -> (
+            match Heap_model.min_elt_opt !model with
+            | None ->
+              if not (raises (fun () -> Heap.pop_min h)) then
+                Test.fail_reportf "op %d: pop_min on an empty heap did not raise" id
+            | Some ((_, _, tag1, tag2, v) as top) ->
+              let got1 = Heap.top_tag1 h and got2 = Heap.top_tag2 h in
+              let got = Heap.pop_min h in
+              if (got, got1, got2) <> (v, tag1, tag2) then
+                Test.fail_reportf "op %d: popped %d (tags %d,%d), want %d (tags %d,%d)" id got
+                  got1 got2 v tag1 tag2;
+              model := Heap_model.remove top !model)
+          | Clear ->
+            Heap.clear h;
+            model := Heap_model.empty;
+            next_seq := 0);
+          let n = Heap_model.cardinal !model in
+          if Heap.size h <> n || Heap.is_empty h <> (n = 0) then
+            Test.fail_reportf "op %d: size %d, want %d" id (Heap.size h) n;
+          match Heap_model.min_elt_opt !model with
+          | None ->
+            if not (raises (fun () -> Heap.min_prio h)) then
+              Test.fail_reportf "op %d: min_prio on an empty heap did not raise" id;
+            if Heap.top_before h probe || not (Heap.top_before probe h) then
+              Test.fail_reportf "op %d: top_before wrong on an empty heap" id
+          | Some (p, s, tag1, tag2, _) ->
+            if Heap.min_prio h <> p then
+              Test.fail_reportf "op %d: min_prio %g, want %g" id (Heap.min_prio h) p;
+            if Heap.top_tag1 h <> tag1 || Heap.top_tag2 h <> tag2 then
+              Test.fail_reportf "op %d: top tags wrong" id;
+            let before = p < 1.0 || (p = 1.0 && s < 500_000) in
+            if Heap.top_before h probe <> before || Heap.top_before probe h = before then
+              Test.fail_reportf "op %d: top_before disagrees with (%g, %d)" id p s)
+        ops;
+      true)
+
 let prop_percentile_within_range =
   QCheck.Test.make ~name:"percentile stays within sample bounds" ~count:200
     QCheck.(pair (float_range 0. 100.) (list_of_size (Gen.int_range 1 40) (float_range (-50.) 50.)))
@@ -387,7 +496,12 @@ let test_series_ascii_renders () =
 let () =
   let qcheck =
     List.map Test_seed.to_alcotest
-      [ prop_heap_sorts; prop_percentile_within_range; prop_int_table_matches_hashtbl ]
+      [
+        prop_heap_sorts;
+        prop_heap_matches_model;
+        prop_percentile_within_range;
+        prop_int_table_matches_hashtbl;
+      ]
   in
   Alcotest.run "ff_util"
     [
