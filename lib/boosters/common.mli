@@ -1,12 +1,11 @@
 (** Conventions shared by all booster runtimes.
 
-    Mode activation is communicated through switch vars under the key
-    ["mode:<name>"] (written by [Ff_modes.Protocol], read here), keeping
-    boosters free of a dependency on the mode-protocol library — exactly
-    the loose coupling a real data plane has, where a mode bit in switch
-    memory gates a table. The vars entry is mirrored into the switch's
-    interned flag bits ({!Ff_netsim.Net.flag_mask}), which is what the
-    per-packet read path tests. *)
+    Mode activation is communicated through the switch's interned flag
+    bits ({!Ff_netsim.Net.flag_mask}) under the name ["mode:<name>"]
+    (written by [Ff_modes.Protocol], read here), keeping boosters free of
+    a dependency on the mode-protocol library — exactly the loose coupling
+    a real data plane has, where a mode bit in switch memory gates a
+    table. *)
 
 val mode_active : Ff_netsim.Net.switch -> string -> bool
 (** [mode_active sw name] interns the name on every call; fine off the
@@ -23,8 +22,7 @@ val mode_on : Ff_netsim.Net.switch -> int -> bool
 
 val set_mode : Ff_netsim.Net.switch -> string -> bool -> unit
 (** Directly toggle a mode (tests and standalone examples; production
-    paths go through the mode protocol). Updates both the [vars] mirror
-    and the flag bit. *)
+    paths go through the mode protocol). *)
 
 (** Standard mode names used by the shipped boosters. *)
 

@@ -1,58 +1,47 @@
 module Net = Ff_netsim.Net
-module Engine = Ff_netsim.Engine
 module Packet = Ff_dataplane.Packet
+module Sync = Ff_modes.Sync
 
-type sw_state = {
-  local : (int, Ff_util.Stats.Window_counter.t) Hashtbl.t; (* tenant -> bytes window *)
-  remote : (int * int, float * float) Hashtbl.t; (* (origin, tenant) -> rate, at *)
-  seen : (int * int, unit) Hashtbl.t; (* (origin, round) flood dedup *)
-}
+(* this booster's sync probes travel as probe class 0; other sync
+   services pick other classes and never see them *)
+let probe_class = 0
 
 type t = {
   net : Net.t;
   participants : int list;
-  sync_period : float;
   mode : string;
   rng : Ff_util.Prng.t;
   limits : (int, float) Hashtbl.t; (* tenant -> bps *)
   tenants : (int, int) Hashtbl.t; (* src host -> tenant *)
-  states : (int, sw_state) Hashtbl.t;
-  mutable round : int;
+  local : (int, (int, Ff_util.Stats.Window_counter.t) Hashtbl.t) Hashtbl.t;
+      (* sw -> tenant -> bytes window *)
+  sync : Sync.t;
   mutable dropped : int;
-  mutable sync_probes : int;
 }
 
-let state t sw =
-  match Hashtbl.find_opt t.states sw with
-  | Some s -> s
+let counters local sw =
+  match Hashtbl.find_opt local sw with
+  | Some h -> h
   | None ->
-    let s = { local = Hashtbl.create 8; remote = Hashtbl.create 16; seen = Hashtbl.create 64 } in
-    Hashtbl.replace t.states sw s;
-    s
+    let h = Hashtbl.create 8 in
+    Hashtbl.replace local sw h;
+    h
 
-let local_counter t sw tenant =
-  let st = state t sw in
-  match Hashtbl.find_opt st.local tenant with
+let counter local sw tenant =
+  let cs = counters local sw in
+  match Hashtbl.find_opt cs tenant with
   | Some c -> c
   | None ->
     let c = Ff_util.Stats.Window_counter.create ~width:1.0 in
-    Hashtbl.replace st.local tenant c;
+    Hashtbl.replace cs tenant c;
     c
 
-let local_rate t ~sw ~tenant =
-  Ff_util.Stats.Window_counter.rate (local_counter t sw tenant) ~now:(Net.now t.net) *. 8.
+let rate net c = Ff_util.Stats.Window_counter.rate c ~now:(Net.now net) *. 8.
+
+let local_rate t ~sw ~tenant = rate t.net (counter t.local sw tenant)
 
 let global_rate t ~sw ~tenant =
-  let st = state t sw in
-  let now = Net.now t.net in
-  let remote =
-    Hashtbl.fold
-      (fun (origin, tn) (rate, at) acc ->
-        if tn = tenant && origin <> sw && now -. at <= 3. *. t.sync_period then acc +. rate
-        else acc)
-      st.remote 0.
-  in
-  remote +. local_rate t ~sw ~tenant
+  local_rate t ~sw ~tenant +. Sync.remote_contribution t.sync ~sw ~key:tenant
 
 let stage t =
   let mode_key = Common.mode_key t.mode in
@@ -62,27 +51,11 @@ let stage t =
       (fun ctx pkt ->
         let sw = ctx.Net.sw.Net.sw_id in
         match pkt.Packet.payload with
-        (* flow 0 is this booster's sync class; other classes belong to
-           other synchronization services and pass through untouched *)
-        | Packet.Sync_probe { origin; round; entries } when pkt.Packet.flow = 0 ->
-          let st = state t sw in
-          if Hashtbl.mem st.seen (origin, round) then Net.Absorb
-          else begin
-            Hashtbl.replace st.seen (origin, round) ();
-            List.iter
-              (fun (tenant, rate) -> Hashtbl.replace st.remote (origin, tenant) (rate, Net.now t.net))
-              entries;
-            Net.flood_from_switch t.net ~sw ~except:[ ctx.Net.in_port ] (fun () ->
-                Packet.make ~src:origin ~dst:origin ~flow:0 ~birth:(Net.now t.net)
-                  ~payload:(Packet.Sync_probe { origin; round; entries })
-                  ());
-            Net.Absorb
-          end
         | Packet.Data -> (
           match Hashtbl.find_opt t.tenants pkt.Packet.src with
           | Some tenant when List.mem sw t.participants
                              && Net.access_switch t.net ~host:pkt.Packet.src = sw -> (
-            Ff_util.Stats.Window_counter.add (local_counter t sw tenant) ~now:(Net.now t.net)
+            Ff_util.Stats.Window_counter.add (counter t.local sw tenant) ~now:(Net.now t.net)
               (float_of_int pkt.Packet.size);
             match Hashtbl.find_opt t.limits tenant with
             | Some limit when Common.mode_on ctx.Net.sw mode_key ->
@@ -101,48 +74,29 @@ let stage t =
         | _ -> Net.Continue);
   }
 
-let start_sync t =
-  Engine.every (Net.engine t.net) ~period:t.sync_period (fun () ->
-      t.round <- t.round + 1;
-      List.iter
-        (fun sw ->
-          let st = state t sw in
-          let entries =
-            Hashtbl.fold
-              (fun tenant _ acc -> (tenant, local_rate t ~sw ~tenant) :: acc)
-              st.local []
-          in
-          if entries <> [] then begin
-            t.sync_probes <- t.sync_probes + 1;
-            Hashtbl.replace st.seen (sw, t.round) ();
-            Net.flood_from_switch t.net ~sw ~except:[] (fun () ->
-                Packet.make ~src:sw ~dst:sw ~flow:0 ~birth:(Net.now t.net)
-                  ~payload:(Packet.Sync_probe { origin = sw; round = t.round; entries })
-                  ())
-          end)
-        t.participants)
-
 let install net ~participants ?(sync_period = 0.2) ?(mode = Common.mode_grl) ?(seed = 7) () =
+  let local = Hashtbl.create 16 in
+  (* each participant advertises the local rate of every tenant it counted *)
+  let local_view ~sw =
+    Hashtbl.fold (fun tenant c acc -> (tenant, rate net c) :: acc) (counters local sw) []
+  in
   let t =
     {
       net;
       participants;
-      sync_period;
       mode;
       rng = Ff_util.Prng.create ~seed;
       limits = Hashtbl.create 8;
       tenants = Hashtbl.create 32;
-      states = Hashtbl.create 16;
-      round = 0;
+      local;
+      sync = Sync.create net ~participants ~period:sync_period ~local_view ~probe_class ();
       dropped = 0;
-      sync_probes = 0;
     }
   in
   List.iter (fun sw -> Net.add_stage net ~sw (stage t)) (Net.switch_ids net);
-  start_sync t;
   t
 
 let set_limit t ~tenant limit = Hashtbl.replace t.limits tenant limit
 let assign t ~src ~tenant = Hashtbl.replace t.tenants src tenant
 let dropped t = t.dropped
-let sync_probes t = t.sync_probes
+let sync_probes t = Sync.probes_sent t.sync

@@ -4,11 +4,12 @@
 
     Some attacks are only visible network-wide: each participating switch
     counts a tenant's local bytes, and every [sync_period] floods a sync
-    probe with its local rates. Switches merge the views they receive, so
-    each holds an estimate of the tenant's {e global} rate. While the
-    ["grl"] mode is active, a tenant above its limit is policed
-    probabilistically with drop probability [1 - limit/global] — the
-    aggregate converges to the limit wherever the traffic enters. *)
+    probe with its local rates ({!Ff_modes.Sync}, probe class 0). Switches
+    merge the views they receive, so each holds an estimate of the
+    tenant's {e global} rate. While the ["grl"] mode is active, a tenant
+    above its limit is policed probabilistically with drop probability
+    [1 - limit/global] — the aggregate converges to the limit wherever the
+    traffic enters. *)
 
 type t
 

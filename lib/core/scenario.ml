@@ -696,28 +696,6 @@ let adversarial ~strategy ~adversary ?(hardened = false) ?(seed = 1) ?(duration 
   in
   (* work-factor harness: damage sampled over the watched decoy links *)
   let wf = Workfactor.create ~damage_floor:0.7 ~effective_damage:1.0 ~attack_start () in
-  (if Sys.getenv_opt "ADVERSARIAL_TRACE" <> None then
-     let last_drops = ref 0 in
-     Engine.every engine ~start:0.5 ~period:0.5 (fun () ->
-         let drops =
-           List.fold_left (fun acc d -> acc + B.Dropper.dropped d) 0 !droppers
-         in
-         let offn =
-           List.fold_left
-             (fun acc hh -> acc + List.length (B.Heavy_hitter.offenders hh))
-             0 !hhs
-         in
-         let util =
-           List.fold_left
-             (fun acc (a, e) -> Float.max acc (Net.utilization net ~from_:a ~to_:e))
-             0. watched
-         in
-         Printf.eprintf "[trace %s%s%s] t=%5.1f util=%.2f offenders=%d drops+=%d alarms=%d\n"
-           (Adaptive.strategy_name strategy)
-           (match adversary with Closed_loop -> "/closed" | Open_loop -> "/open")
-           (if hardened then "/hard" else "")
-           (Net.now net) util offn (drops - !last_drops) !alarms;
-         last_drops := drops));
   let sample_dt = 0.1 in
   let last_probes = ref 0 in
   Engine.every engine ~start:sample_dt ~period:sample_dt (fun () ->
@@ -782,8 +760,8 @@ module Fluid = Ff_fluid.Fluid
 
 let lfa_fluid ?(flows = 100_000) ?(duration = 40.) ?(force = Hybrid.Auto)
     ?(flow_rate_bps = 25_000.) ?(cores = 12) ?(attack_start = 10.) ?(attack_stop = 18.)
-    ?(roll_at = 14.) ?(attack_bps_per_flow = 60_000_000.) ?(packet_recon = true)
-    ?demote_budget ?(goodput_period = 0.5) () =
+    ?(roll_at = 14.) ?(attack_bps_per_flow = 60_000_000.) ?demote_budget
+    ?(goodput_period = 0.5) () =
   let hosts_per_access = 4 and packet_size = 1000 in
   let topo = Topology.isp ~cores ~access_per_core:2 ~hosts_per_access () in
   let engine = Engine.create () in
@@ -840,19 +818,16 @@ let lfa_fluid ?(flows = 100_000) ?(duration = 40.) ?(force = Hybrid.Auto)
       ()
   in
   (* the flood volume rides the fluid tier; the packet-level side of the
-     adversary (recon traceroutes + low-rate TCP decoy flows) is optional *)
+     adversary is recon traceroutes + low-rate TCP decoy flows *)
   let volume =
     Ff_attacks.Lfa.Fluid_volume.launch hybrid ~bots ~decoy_groups:[ decoys_a; decoys_b ]
       ~rate_bps_per_flow:attack_bps_per_flow ~packet_size ~start:attack_start
       ~stop:attack_stop ~roll_schedule:[ roll_at ] ()
   in
   let recon =
-    if packet_recon then
-      Some
-        (Ff_attacks.Lfa.launch net ~bots ~decoy_groups:[ decoys_a; decoys_b ]
-           ~start:attack_start ~stop:attack_stop ~flows_per_bot:1
-           ~roll_on_path_change:false ~roll_schedule:[ roll_at ] ())
-    else None
+    Ff_attacks.Lfa.launch net ~bots ~decoy_groups:[ decoys_a; decoys_b ]
+      ~start:attack_start ~stop:attack_stop ~flows_per_bot:1 ~roll_on_path_change:false
+      ~roll_schedule:[ roll_at ] ()
   in
   let benign_delivered () =
     List.fold_left (fun acc m -> acc +. Hybrid.delivered_bytes hybrid m) 0. benign
@@ -863,7 +838,7 @@ let lfa_fluid ?(flows = 100_000) ?(duration = 40.) ?(force = Hybrid.Auto)
       ~period:goodput_period ~until:duration ~name:"fluid_goodput" ()
   in
   let read () =
-    Option.iter Ff_attacks.Lfa.stop_now recon;
+    Ff_attacks.Lfa.stop_now recon;
     let fluid = Hybrid.fluid hybrid in
     let st = Fluid.solver_stats fluid in
     let packet_tx = Net.total_tx_packets net in

@@ -151,7 +151,6 @@ val lfa_fluid :
   ?attack_stop:float ->
   ?roll_at:float ->
   ?attack_bps_per_flow:float ->
-  ?packet_recon:bool ->
   ?demote_budget:int ->
   ?goodput_period:float ->
   unit ->

@@ -50,7 +50,7 @@ type t = {
   max_flap_entries : int;
 }
 
-let mode_var name = "mode:" ^ name
+let mode_flag name = "mode:" ^ name
 
 let state t sw =
   match Hashtbl.find_opt t.states sw with
@@ -67,16 +67,11 @@ let state t sw =
     Hashtbl.replace t.states sw s;
     s
 
-let refresh_vars t sw =
+let refresh_flags t sw =
   let st = state t sw in
   let sw_rec = Net.switch t.net sw in
-  let vars = sw_rec.Net.vars in
-  (* recompute every mode var from the set of active attacks; the interned
-     flag bit is the copy per-packet booster stages actually read *)
-  let write m on =
-    Hashtbl.replace vars (mode_var m) (if on then 1. else 0.);
-    Net.set_flag sw_rec ~mask:(Net.flag_mask (mode_var m)) on
-  in
+  (* recompute every mode flag from the set of active attacks *)
+  let write m on = Net.set_flag sw_rec ~mask:(Net.flag_mask (mode_flag m)) on in
   List.iter
     (fun attack -> List.iter (fun m -> write m false) (t.modes_for attack))
     Packet.all_attack_kinds;
@@ -226,7 +221,7 @@ let activate_at t ~sw ~attack ~epoch =
     Hashtbl.remove st.pending_clear attack;
     if not (Hashtbl.mem st.active_attacks attack) then begin
       Hashtbl.replace st.active_attacks attack (Net.now t.net);
-      refresh_vars t sw;
+      refresh_flags t sw;
       record t sw attack true
     end;
     true
@@ -254,7 +249,7 @@ let rec deactivate_at t ~sw ~attack ~epoch =
       if now -. activated_at >= dwell -. 1e-9 then begin
         Hashtbl.replace st.seen_epoch attack epoch;
         Hashtbl.remove st.active_attacks attack;
-        refresh_vars t sw;
+        refresh_flags t sw;
         record t sw attack false;
         `Applied
       end
@@ -420,9 +415,7 @@ let clear_alarm t ~sw attack =
   flood t ~from_sw:sw ~except:[] ~attack ~epoch ~activate:false ~ttl:t.region_ttl
 
 let active t ~sw mode =
-  match Hashtbl.find_opt (Net.switch t.net sw).Net.vars (mode_var mode) with
-  | Some v -> v > 0.
-  | None -> false
+  Net.flag_on (Net.switch t.net sw) ~mask:(Net.flag_mask (mode_flag mode))
 
 let attack_active t ~sw attack = Hashtbl.mem (state t sw).active_attacks attack
 

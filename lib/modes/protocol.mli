@@ -11,16 +11,13 @@
     stability concern for attackers that intentionally trigger mode
     changes).
 
-    Activation state is mirrored into each switch's [vars] table under the
-    key ["mode:<name>"] so booster stages can gate themselves without a
-    dependency on this module. *)
+    Activation state is written to each switch's interned flag bit
+    ["mode:<name>"] ({!Ff_netsim.Net.flag_mask}) so booster stages can gate
+    themselves without a dependency on this module. *)
 
 type t
 
 type attack = Ff_dataplane.Packet.attack_kind
-
-val mode_var : string -> string
-(** ["mode:" ^ name] — the switch-vars key mirroring a mode's activation. *)
 
 val create :
   Ff_netsim.Net.t ->

@@ -37,46 +37,12 @@ let test_mode_vars () =
   B.Common.set_mode sw "reroute" true;
   Alcotest.(check bool) "on" true (B.Common.mode_active sw "reroute");
   B.Common.set_mode sw "reroute" false;
-  Alcotest.(check bool) "off" false (B.Common.mode_active sw "reroute")
-
-(* [set_mode] keeps two copies of each mode: the [vars] hashtable entry and
-   the interned flag bit the per-packet fast path reads. They must agree
-   after any sequence of writes, for every known mode name. *)
-let test_mode_flag_mirror () =
-  let _, _, net = fig2_net () in
-  let sw = Net.switch net (List.hd (Net.switch_ids net)) in
-  let modes =
-    [
-      B.Common.mode_classify;
-      B.Common.mode_reroute;
-      B.Common.mode_obfuscate;
-      B.Common.mode_drop;
-      B.Common.mode_hcf;
-      B.Common.mode_acl;
-      B.Common.mode_grl;
-    ]
-  in
-  let check_agree m =
-    Alcotest.(check bool)
-      (Printf.sprintf "flag bit mirrors vars for %s" m)
-      (B.Common.mode_active sw m)
-      (B.Common.mode_on sw (B.Common.mode_key m))
-  in
-  List.iter check_agree modes;
-  (* toggle each mode on, then some off, checking the whole set each time:
-     setting one mode must not disturb another's bit *)
-  List.iter
-    (fun m ->
-      B.Common.set_mode sw m true;
-      List.iter check_agree modes)
-    modes;
-  List.iter
-    (fun m ->
-      B.Common.set_mode sw m false;
-      List.iter check_agree modes;
-      Alcotest.(check bool) "cleared" false (B.Common.mode_active sw m))
-    [ B.Common.mode_reroute; B.Common.mode_acl ];
-  Alcotest.(check bool) "others stay on" true (B.Common.mode_active sw B.Common.mode_drop)
+  Alcotest.(check bool) "off" false (B.Common.mode_active sw "reroute");
+  (* each mode is its own bit: clearing one leaves another set *)
+  B.Common.set_mode sw "reroute" true;
+  B.Common.set_mode sw "drop" true;
+  B.Common.set_mode sw "reroute" false;
+  Alcotest.(check bool) "others stay on" true (B.Common.mode_active sw "drop")
 
 (* ---------------- LFA detector ---------------- *)
 
@@ -494,6 +460,38 @@ let test_nwhh_clears_after_flood () =
   Alcotest.(check bool) "cleared after the flood ends" true (!clears >= 1);
   Alcotest.(check bool) "not alarmed at the end" false (B.Network_wide_hh.alarmed nw)
 
+(* GRL and the network-wide heavy hitter each run their own sync service
+   on one net: each view at e1 must hold e2's share, so neither service
+   swallowed the other's probes. *)
+let test_sync_services_share_net () =
+  let lm, engine, net = fig2_net () in
+  let topo = lm.T.Fig2.topo in
+  let e1 = (T.node_by_name topo "e1").T.id and e2 = (T.node_by_name topo "e2").T.id in
+  let victim = lm.T.Fig2.victim in
+  let nw =
+    B.Network_wide_hh.install net ~ingresses:[ e1; e2 ] ~threshold_bps:6_000_000.
+      ~on_alarm:(fun _ -> ()) ~on_clear:(fun _ -> ()) ()
+  in
+  let grl = B.Global_rate_limit.install net ~participants:[ e1; e2 ] ~sync_period:0.2 () in
+  let tenant = 1 in
+  List.iter (fun src -> B.Global_rate_limit.assign grl ~src ~tenant) lm.T.Fig2.bot_sources;
+  List.iter
+    (fun bot -> ignore (Flow.Cbr.start net ~src:bot ~dst:victim ~rate_pps:125. ()))
+    lm.T.Fig2.bot_sources;
+  Engine.run engine ~until:5.;
+  let holds_both name ~local ~global =
+    let l1 = local e1 and l2 = local e2 in
+    Alcotest.(check bool) (name ^ ": traffic enters at e2") true (l2 > 1_000_000.);
+    Alcotest.(check bool) (name ^ ": view at e1 holds e2's share") true
+      (Float.abs (global e1 -. (l1 +. l2)) < 0.1 *. (l1 +. l2))
+  in
+  holds_both "nwhh"
+    ~local:(fun sw -> B.Network_wide_hh.local_rate nw ~sw ~dst:victim)
+    ~global:(fun sw -> B.Network_wide_hh.global_rate nw ~sw ~dst:victim);
+  holds_both "grl"
+    ~local:(fun sw -> B.Global_rate_limit.local_rate grl ~sw ~tenant)
+    ~global:(fun sw -> B.Global_rate_limit.global_rate grl ~sw ~tenant)
+
 (* ---------------- Specs ---------------- *)
 
 let test_specs_catalogue () =
@@ -522,7 +520,6 @@ let () =
       ( "common",
         [
           Alcotest.test_case "mode vars" `Quick test_mode_vars;
-          Alcotest.test_case "flag bit mirrors vars" `Quick test_mode_flag_mirror;
         ] );
       ( "lfa-detector",
         [
@@ -560,6 +557,7 @@ let () =
           Alcotest.test_case "quiet under threshold" `Quick
             test_nwhh_quiet_under_local_threshold;
           Alcotest.test_case "clears after flood" `Quick test_nwhh_clears_after_flood;
+          Alcotest.test_case "shares a net with grl" `Quick test_sync_services_share_net;
         ] );
       ("specs", [ Alcotest.test_case "catalogue" `Quick test_specs_catalogue ]);
     ]

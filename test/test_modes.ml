@@ -37,8 +37,7 @@ let test_alarm_propagates () =
         (Protocol.active p ~sw "obfuscate"))
     (Net.switch_ids net);
   Alcotest.(check int) "six activations logged" 6 (List.length (Protocol.log p));
-  Alcotest.(check bool) "vars mirror" true
-    (Hashtbl.find (Net.switch net 3).Net.vars (Protocol.mode_var "reroute") = 1.)
+  Alcotest.(check bool) "vars mirror" true (Protocol.active p ~sw:3 "reroute")
 
 let test_region_ttl_bounds_propagation () =
   (* a long ring with a small region ttl: far switches stay in default *)
