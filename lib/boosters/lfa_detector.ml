@@ -3,19 +3,21 @@ module Engine = Ff_netsim.Engine
 module Packet = Ff_dataplane.Packet
 module Window_counter = Ff_util.Stats.Window_counter
 
-(* All fields float so the record gets OCaml's flat-float layout: the
-   mutable stores in [update_flow] run on every data packet at every
-   detector switch, and a mixed record would box a fresh float per store.
-   [dst] carries an int node id, [suspicious] is a 0./1. flag. *)
-type flow_rec = {
-  mutable first_seen : float;
-  mutable last_seen : float;
-  mutable rate : float; (* bits/s over the last completed window *)
-  mutable window_start : float;
-  mutable window_bytes : float;
-  mutable dst : float;
-  mutable suspicious : float;
-}
+(* Per-flow state as flat rows, the layout a switch keeps in register
+   arrays: [index] maps a flow id to its row, and row [r]'s fields sit at
+   [rows.(r * row_width + f)] in one float array, so the stores in
+   [update_flow] (every data packet at every detector switch) are unboxed
+   and the 50 ms check is one linear pass. Rows are appended in first-seen
+   order and never evicted. [f_dst] carries an int node id (exact in a
+   float), [f_suspicious] a 0./1. flag. *)
+let f_first_seen = 0
+let f_last_seen = 1
+let f_rate = 2 (* bits/s over the last completed window *)
+let f_window_start = 3
+let f_window_bytes = 4
+let f_dst = 5
+let f_suspicious = 6
+let row_width = 7
 
 type alarm = { switch : int; attack : Packet.attack_kind }
 
@@ -30,9 +32,14 @@ type t = {
   clear_fraction : float;
   clear_hold : float;
   dst_flows_min : int;
-  flows : (int, flow_rec) Hashtbl.t;
+  index : Ff_util.Int_table.t; (* flow id -> row *)
+  mutable rows : float array;
+  mutable n_rows : int;
   suspicious_srcs : (int, unit) Hashtbl.t;
-  dst_fanout : (int, int) Hashtbl.t; (* dst -> live flows toward it *)
+  (* live flows toward each destination as of the last check, indexed by
+     node id; ids outside the node range fall back to [fanin_other] *)
+  fanin : int array;
+  fanin_other : (int, int) Hashtbl.t;
   (* Offered-load tracking (pre-mitigation): bytes whose *default* route
      crosses a watched egress link, counted in the detector stage — i.e.
      before the dropper polices or the reroute steers them. Hysteresis on
@@ -67,42 +74,60 @@ let rate_window = 0.5
 
 let offered_window = 1.0
 
-let update_flow t now (pkt : Packet.t) =
-  let rec_ =
-    match Hashtbl.find t.flows pkt.flow with
-    | r -> r
-    | exception Not_found ->
-      let r =
-        { first_seen = now; last_seen = now; rate = 0.; window_start = now; window_bytes = 0.;
-          dst = float_of_int pkt.dst; suspicious = 0. }
-      in
-      Hashtbl.replace t.flows pkt.flow r;
-      r
-  in
-  rec_.window_bytes <- rec_.window_bytes +. float_of_int pkt.size;
-  let elapsed = now -. rec_.window_start in
-  if elapsed >= rate_window then begin
-    rec_.rate <- rec_.window_bytes *. 8. /. elapsed;
-    rec_.window_start <- now;
-    rec_.window_bytes <- 0.
+let add_row t now (pkt : Packet.t) =
+  let n = t.n_rows in
+  if (n + 1) * row_width > Array.length t.rows then begin
+    let rows = Array.make (2 * Array.length t.rows) 0. in
+    Array.blit t.rows 0 rows 0 (n * row_width);
+    t.rows <- rows
   end;
-  rec_.last_seen <- now;
-  rec_
+  let rows = t.rows and b = n * row_width in
+  rows.(b + f_first_seen) <- now;
+  rows.(b + f_last_seen) <- now;
+  rows.(b + f_rate) <- 0.;
+  rows.(b + f_window_start) <- now;
+  rows.(b + f_window_bytes) <- 0.;
+  rows.(b + f_dst) <- float_of_int pkt.dst;
+  rows.(b + f_suspicious) <- 0.;
+  Ff_util.Int_table.set t.index pkt.flow n;
+  t.n_rows <- n + 1;
+  b
 
-let classify t now rec_ (pkt : Packet.t) =
+(* Returns the offset of the flow's row in [t.rows]. *)
+let update_flow t now (pkt : Packet.t) =
+  let r = Ff_util.Int_table.get t.index pkt.flow ~default:(-1) in
+  let b = if r >= 0 then r * row_width else add_row t now pkt in
+  let rows = t.rows in
+  let bytes = rows.(b + f_window_bytes) +. float_of_int pkt.size in
+  let elapsed = now -. rows.(b + f_window_start) in
+  if elapsed >= rate_window then begin
+    rows.(b + f_rate) <- bytes *. 8. /. elapsed;
+    rows.(b + f_window_start) <- now;
+    rows.(b + f_window_bytes) <- 0.
+  end
+  else rows.(b + f_window_bytes) <- bytes;
+  rows.(b + f_last_seen) <- now;
+  b
+
+let fanin_of t dst =
+  if dst >= 0 && dst < Array.length t.fanin then t.fanin.(dst)
+  else try Hashtbl.find t.fanin_other dst with Not_found -> 0
+
+let classify t now b (pkt : Packet.t) =
   (* The Crossfire signature (paper 4.1): persistent, individually low-rate
      flows, many of them converging on the same destination — legitimate
      flows congested down to a low rate do not share the fan-in. *)
-  let age = now -. rec_.first_seen in
-  let fanout = try Hashtbl.find t.dst_fanout (int_of_float rec_.dst) with Not_found -> 0 in
+  let rows = t.rows in
+  let age = now -. rows.(b + f_first_seen) in
+  let rate = rows.(b + f_rate) in
   if
-    age >= t.min_age && rec_.rate > 0. && rec_.rate < t.suspicious_rate
-    && fanout >= t.dst_flows_min
+    age >= t.min_age && rate > 0. && rate < t.suspicious_rate
+    && fanin_of t (int_of_float rows.(b + f_dst)) >= t.dst_flows_min
   then begin
-    rec_.suspicious <- 1.;
+    rows.(b + f_suspicious) <- 1.;
     Hashtbl.replace t.suspicious_srcs pkt.src ()
   end;
-  if rec_.suspicious > 0. then begin
+  if rows.(b + f_suspicious) > 0. then begin
     pkt.Packet.suspicious <- true;
     t.marks <- t.marks + 1
   end
@@ -134,8 +159,8 @@ let stage t =
         | Packet.Data ->
           let tnow = Net.now ctx.Net.net in
           count_offered t ctx pkt tnow;
-          let rec_ = update_flow t tnow pkt in
-          if classifying t ctx then classify t tnow rec_ pkt
+          let b = update_flow t tnow pkt in
+          if classifying t ctx then classify t tnow b pkt
         | Packet.Traceroute_probe _ ->
           (* a suspicious source's reconnaissance probes are forwarded like
              its data (Crossfire probes are TTL-limited data packets), so
@@ -171,22 +196,28 @@ let watched_capacity t =
       | None -> acc)
     0. t.watched
 
+(* Summed in row (first-seen) order. *)
 let suspicious_aggregate_rate t now =
-  Hashtbl.fold
-    (fun _ r acc ->
-      if r.suspicious > 0. && now -. r.last_seen < 1.0 then acc +. r.rate else acc)
-    t.flows 0.
+  let rows = t.rows and acc = ref 0. in
+  for r = 0 to t.n_rows - 1 do
+    let b = r * row_width in
+    if rows.(b + f_suspicious) > 0. && now -. rows.(b + f_last_seen) < 1.0 then
+      acc := !acc +. rows.(b + f_rate)
+  done;
+  !acc
 
 let refresh_fanout t now =
-  Hashtbl.reset t.dst_fanout;
-  Hashtbl.iter
-    (fun _ r ->
-      if now -. r.last_seen < 2.0 then begin
-        let dst = int_of_float r.dst in
-        Hashtbl.replace t.dst_fanout dst
-          (1 + (try Hashtbl.find t.dst_fanout dst with Not_found -> 0))
-      end)
-    t.flows
+  let rows = t.rows and fanin = t.fanin in
+  Array.fill fanin 0 (Array.length fanin) 0;
+  Hashtbl.clear t.fanin_other;
+  for r = 0 to t.n_rows - 1 do
+    let b = r * row_width in
+    if now -. rows.(b + f_last_seen) < 2.0 then begin
+      let dst = int_of_float rows.(b + f_dst) in
+      if dst >= 0 && dst < Array.length fanin then fanin.(dst) <- fanin.(dst) + 1
+      else Hashtbl.replace t.fanin_other dst (1 + fanin_of t dst)
+    end
+  done
 
 let redraw_thresholds t now =
   if t.threshold_jitter > 0. && now >= t.next_draw then begin
@@ -226,7 +257,9 @@ let check t () =
       if now -. since >= t.clear_hold then begin
         t.alarmed <- false;
         t.calm_since <- None;
-        Hashtbl.iter (fun _ r -> r.suspicious <- 0.) t.flows;
+        for r = 0 to t.n_rows - 1 do
+          t.rows.((r * row_width) + f_suspicious) <- 0.
+        done;
         Hashtbl.reset t.suspicious_srcs;
         t.on_clear { switch = t.sw; attack = Packet.Lfa }
       end
@@ -265,9 +298,12 @@ let install net ~sw ~watched ?(check_period = 0.05) ?(high_threshold = 0.85)
       clear_fraction;
       clear_hold;
       dst_flows_min;
-      flows = Hashtbl.create 256;
+      index = Ff_util.Int_table.create ();
+      rows = Array.make (16 * row_width) 0.;
+      n_rows = 0;
       suspicious_srcs = Hashtbl.create 32;
-      dst_fanout = Hashtbl.create 32;
+      fanin = Array.make n_nodes 0;
+      fanin_other = Hashtbl.create 1;
       watched_idx;
       offered_ctr;
       offered_cap;
@@ -291,16 +327,22 @@ let install net ~sw ~watched ?(check_period = 0.05) ?(high_threshold = 0.85)
 let alarmed t = t.alarmed
 let current_high_threshold t = t.high_eff
 
+let row_field t f field =
+  match Ff_util.Int_table.get t.index f ~default:(-1) with
+  | -1 -> 0.
+  | r -> t.rows.((r * row_width) + field)
+
 let suspicious_flows t =
-  Hashtbl.fold (fun f r acc -> if r.suspicious > 0. then f :: acc else acc) t.flows []
+  Ff_util.Int_table.fold
+    (fun f r acc -> if t.rows.((r * row_width) + f_suspicious) > 0. then f :: acc else acc)
+    t.index []
   |> List.sort compare
 
-let is_suspicious_flow t f =
-  match Hashtbl.find_opt t.flows f with Some r -> r.suspicious > 0. | None -> false
+let is_suspicious_flow t f = row_field t f f_suspicious > 0.
 
 let is_suspicious_source t s = Hashtbl.mem t.suspicious_srcs s
 
-let tracked_flows t = Hashtbl.length t.flows
+let tracked_flows t = t.n_rows
 let marks t = t.marks
 
-let flow_rate t f = match Hashtbl.find_opt t.flows f with Some r -> r.rate | None -> 0.
+let flow_rate t f = row_field t f f_rate

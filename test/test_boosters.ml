@@ -138,6 +138,231 @@ let test_detector_clears_when_attack_stops () =
   Alcotest.(check bool) "cleared after attack subsides" true (List.length !clears >= 1);
   Alcotest.(check bool) "not alarmed at end" false (B.Lfa_detector.alarmed det)
 
+(* ---------------- LFA detector: fan-in rules ---------------- *)
+
+(* A detector on fig2's agg switch with no watched links: it never alarms,
+   so it never clears its marks, and classification follows the classify
+   mode on the switch alone. Packets go straight into the switch through
+   [Net.inject_at_switch], so their timing is exact. *)
+let bare_detector ?(min_age = 0.5) ?(suspicious_rate = 1_500_000.) ?(dst_flows_min = 8) () =
+  let lm, engine, net = fig2_net () in
+  let sw = lm.T.Fig2.agg in
+  let det =
+    B.Lfa_detector.install net ~sw ~watched:[] ~min_age ~suspicious_rate ~dst_flows_min
+      ~on_alarm:ignore ~on_clear:ignore ()
+  in
+  (lm, engine, net, det)
+
+let set_classify engine net ~sw ~at on =
+  Engine.schedule engine ~at (fun () ->
+      B.Common.set_mode (Net.switch net sw) B.Common.mode_classify on)
+
+let inject engine net ~sw ~at ~src ~dst ~flow ~size =
+  Engine.schedule engine ~at (fun () ->
+      Net.inject_at_switch net ~sw
+        (Packet.make_data ~size ~seq:0 ~ttl:64 ~src ~dst ~flow ~birth:at))
+
+(* Flows 1..[flows] toward [dst], one 500-byte packet every 0.1 s each
+   (40 kb/s, far below the suspicious rate), flow [f] sending while
+   [sends f at]. *)
+let steady_flows ?(sends = fun _ _ -> true) engine net (lm : T.Fig2.landmarks) ~dst ~flows ~until =
+  let src = List.hd lm.T.Fig2.bot_sources in
+  for flow = 1 to flows do
+    let at = ref (0.013 +. (0.001 *. float_of_int flow)) in
+    while !at <= until do
+      if sends flow !at then inject engine net ~sw:lm.T.Fig2.agg ~at:!at ~src ~dst ~flow ~size:500;
+      at := !at +. 0.1
+    done
+  done
+
+let test_fanin_marks_eight () =
+  let lm, engine, net, det = bare_detector () in
+  set_classify engine net ~sw:lm.T.Fig2.agg ~at:0. true;
+  steady_flows engine net lm ~dst:(List.hd lm.T.Fig2.decoys) ~flows:8 ~until:3.;
+  Engine.run engine ~until:3.;
+  Alcotest.(check (list int)) "all eight marked" (List.init 8 succ)
+    (B.Lfa_detector.suspicious_flows det);
+  Alcotest.(check bool) "packets marked" true (B.Lfa_detector.marks det > 0)
+
+let test_fanin_spares_seven () =
+  let lm, engine, net, det = bare_detector () in
+  set_classify engine net ~sw:lm.T.Fig2.agg ~at:0. true;
+  steady_flows engine net lm ~dst:(List.hd lm.T.Fig2.decoys) ~flows:7 ~until:3.;
+  Engine.run engine ~until:3.;
+  Alcotest.(check (list int)) "none marked" [] (B.Lfa_detector.suspicious_flows det);
+  Alcotest.(check int) "no packet marked" 0 (B.Lfa_detector.marks det);
+  Alcotest.(check int) "all tracked" 7 (B.Lfa_detector.tracked_flows det)
+
+let test_fanin_forgets_silent_flow () =
+  let lm, engine, net, det = bare_detector () in
+  let sw = lm.T.Fig2.agg in
+  (* flow 8 falls silent after 0.5 s; by the time classification starts
+     at 3 s it has been quiet for over 2 s, leaving a fan-in of 7 *)
+  steady_flows engine net lm ~dst:(List.hd lm.T.Fig2.decoys) ~flows:8 ~until:4.
+    ~sends:(fun f at -> f < 8 || at < 0.5);
+  set_classify engine net ~sw ~at:3. true;
+  Engine.run engine ~until:3.4;
+  Alcotest.(check (list int)) "silent flow not counted" [] (B.Lfa_detector.suspicious_flows det);
+  Alcotest.(check int) "still tracked" 8 (B.Lfa_detector.tracked_flows det);
+  (* one packet brings it back into the next check's fan-in *)
+  inject engine net ~sw ~at:3.45 ~src:(List.hd lm.T.Fig2.bot_sources)
+    ~dst:(List.hd lm.T.Fig2.decoys) ~flow:8 ~size:500;
+  Engine.run engine ~until:4.;
+  Alcotest.(check (list int)) "counted again once it sends" (List.init 7 succ)
+    (B.Lfa_detector.suspicious_flows det)
+
+let test_fanin_out_of_range_dst () =
+  let lm, engine, net, det = bare_detector () in
+  set_classify engine net ~sw:lm.T.Fig2.agg ~at:0. true;
+  (* a destination id past the last node: the switch has no route for it,
+     but the detector still counts its fan-in *)
+  let dst = T.num_nodes lm.T.Fig2.topo + 5 in
+  steady_flows engine net lm ~dst ~flows:8 ~until:3.;
+  Engine.run engine ~until:3.;
+  Alcotest.(check (list int)) "all eight marked" (List.init 8 succ)
+    (B.Lfa_detector.suspicious_flows det)
+
+(* ---------------- LFA detector: reference model ---------------- *)
+
+(* The detector's flow rules restated over plain Hashtbls: rate over 0.5 s
+   windows, fan-in recounted at every check from the flows seen in the
+   last 2 s toward each first-seen destination, and a flow marked (for
+   good, as nothing alarms here) once it is old, slow and on a wide
+   enough fan-in. *)
+module Model = struct
+  type flow = {
+    first_seen : float;
+    dst : int;
+    mutable last_seen : float;
+    mutable rate : float;
+    mutable window_start : float;
+    mutable window_bytes : float;
+    mutable suspicious : bool;
+  }
+
+  type t = {
+    min_age : float;
+    suspicious_rate : float;
+    dst_flows_min : int;
+    flows : (int, flow) Hashtbl.t;
+    fanin : (int, int) Hashtbl.t;
+    srcs : (int, unit) Hashtbl.t;
+    mutable marks : int;
+  }
+
+  let create ~min_age ~suspicious_rate ~dst_flows_min =
+    { min_age; suspicious_rate; dst_flows_min; flows = Hashtbl.create 16;
+      fanin = Hashtbl.create 16; srcs = Hashtbl.create 16; marks = 0 }
+
+  let packet m now ~src ~dst ~flow ~size =
+    let r =
+      match Hashtbl.find_opt m.flows flow with
+      | Some r -> r
+      | None ->
+        let r =
+          { first_seen = now; dst; last_seen = now; rate = 0.; window_start = now;
+            window_bytes = 0.; suspicious = false }
+        in
+        Hashtbl.replace m.flows flow r;
+        r
+    in
+    r.window_bytes <- r.window_bytes +. float_of_int size;
+    let elapsed = now -. r.window_start in
+    if elapsed >= 0.5 then begin
+      r.rate <- r.window_bytes *. 8. /. elapsed;
+      r.window_start <- now;
+      r.window_bytes <- 0.
+    end;
+    r.last_seen <- now;
+    let fanin = Option.value (Hashtbl.find_opt m.fanin r.dst) ~default:0 in
+    if
+      now -. r.first_seen >= m.min_age && r.rate > 0. && r.rate < m.suspicious_rate
+      && fanin >= m.dst_flows_min
+    then begin
+      r.suspicious <- true;
+      Hashtbl.replace m.srcs src ()
+    end;
+    if r.suspicious then m.marks <- m.marks + 1
+
+  let check m now =
+    Hashtbl.reset m.fanin;
+    Hashtbl.iter
+      (fun _ r ->
+        if now -. r.last_seen < 2.0 then
+          Hashtbl.replace m.fanin r.dst
+            (1 + Option.value (Hashtbl.find_opt m.fanin r.dst) ~default:0))
+      m.flows
+end
+
+let agrees_with_model det (m : Model.t) ~srcs now =
+  let fail fmt = QCheck.Test.fail_reportf ("t=%.4f: " ^^ fmt) now in
+  if B.Lfa_detector.tracked_flows det <> Hashtbl.length m.flows then
+    fail "tracked %d, model %d" (B.Lfa_detector.tracked_flows det) (Hashtbl.length m.flows);
+  Hashtbl.iter
+    (fun f (r : Model.flow) ->
+      let rate = B.Lfa_detector.flow_rate det f in
+      if not (Float.equal rate r.rate) then fail "flow %d: rate %h, model %h" f rate r.rate)
+    m.flows;
+  let want =
+    Hashtbl.fold (fun f (r : Model.flow) acc -> if r.suspicious then f :: acc else acc) m.flows []
+    |> List.sort compare
+  in
+  if B.Lfa_detector.suspicious_flows det <> want then
+    fail "suspicious [%s], model [%s]"
+      (String.concat ";" (List.map string_of_int (B.Lfa_detector.suspicious_flows det)))
+      (String.concat ";" (List.map string_of_int want));
+  if B.Lfa_detector.marks det <> m.marks then
+    fail "marks %d, model %d" (B.Lfa_detector.marks det) m.marks;
+  List.iter
+    (fun s ->
+      if B.Lfa_detector.is_suspicious_source det s <> Hashtbl.mem m.srcs s then
+        fail "source %d disagrees" s)
+    srcs
+
+(* Random streams over 12 reused flow ids and four destinations, one of
+   them past the last node id. A flow keeps the destination of its first
+   packet, though a quarter of its packets name the next one over; a gap
+   class of 0 is a pause of over 2 s, long enough to drop every flow out
+   of the fan-in. *)
+let prop_detector_matches_model =
+  QCheck.Test.make ~name:"lfa detector matches its hashtable model" ~count:60 ~long_factor:5
+    QCheck.(
+      list_of_size (Gen.int_range 50 400)
+        (quad (int_bound 40) (int_range 1 12) (int_bound 3) (int_range 64 1500)))
+    (fun steps ->
+      let min_age = 0.3 and suspicious_rate = 40_000. and dst_flows_min = 3 in
+      let lm, engine, net, det = bare_detector ~min_age ~suspicious_rate ~dst_flows_min () in
+      let sw = lm.T.Fig2.agg in
+      B.Common.set_mode (Net.switch net sw) B.Common.mode_classify true;
+      let m = Model.create ~min_age ~suspicious_rate ~dst_flows_min in
+      let dsts =
+        [| List.hd lm.T.Fig2.decoys; lm.T.Fig2.victim; List.hd lm.T.Fig2.normal_sources;
+           T.num_nodes lm.T.Fig2.topo + 3 |]
+      in
+      let srcs = Array.of_list lm.T.Fig2.bot_sources in
+      (* registered after the detector's own check, so at equal times it
+         runs right after it (FIFO ties) *)
+      Engine.every engine ~period:0.05 (fun () ->
+          let now = Engine.now engine in
+          Model.check m now;
+          agrees_with_model det m ~srcs:(Array.to_list srcs) now);
+      let at =
+        List.fold_left
+          (fun at (gap, flow, shift, size) ->
+            let at =
+              at +. if gap = 0 then 2.1 +. (0.0007 *. float_of_int size)
+                    else 0.0007 *. float_of_int gap
+            in
+            let dst = dsts.((flow + if shift = 0 then 1 else 0) mod Array.length dsts) in
+            let src = srcs.(flow mod Array.length srcs) in
+            inject engine net ~sw ~at ~src ~dst ~flow ~size;
+            Engine.schedule engine ~at (fun () -> Model.packet m at ~src ~dst ~flow ~size);
+            at)
+          0.01 steps
+      in
+      Engine.run engine ~until:(at +. 0.1);
+      true)
+
 (* ---------------- Reroute ---------------- *)
 
 let test_reroute_probes_build_tables () =
@@ -529,6 +754,11 @@ let () =
             test_detector_classifies_crossfire_not_normal;
           Alcotest.test_case "clears when attack stops" `Quick
             test_detector_clears_when_attack_stops;
+          Alcotest.test_case "fan-in of eight marks" `Quick test_fanin_marks_eight;
+          Alcotest.test_case "fan-in of seven spares" `Quick test_fanin_spares_seven;
+          Alcotest.test_case "fan-in forgets silent flow" `Quick test_fanin_forgets_silent_flow;
+          Alcotest.test_case "fan-in out-of-range dst" `Quick test_fanin_out_of_range_dst;
+          Test_seed.to_alcotest prop_detector_matches_model;
         ] );
       ( "reroute",
         [
