@@ -1076,6 +1076,23 @@ let micro () =
            incr k;
            Ff_util.Heap.push heap ~prio:(now +. delays.(!k land 4095)) ()))
   in
+  (* The same hold model on a period ring: [pending] ticks spread over
+     one period, each op pops the earliest and re-arms it one period
+     later, as the engine's CBR bursts do at 90,000 demoted flows. *)
+  let event_ring_hold pending =
+    let ring = Ff_util.Heap.Ring.create () in
+    for i = 0 to pending - 1 do
+      ignore (Ff_util.Heap.Ring.push ring ~prio:(float_of_int i /. float_of_int pending) ~seq:i ())
+    done;
+    let seq = ref pending in
+    Test.make
+      ~name:(Printf.sprintf "event-ring-pop-push-%d" pending)
+      (Staged.stage (fun () ->
+           let now = Ff_util.Heap.Ring.head_prio ring in
+           Ff_util.Heap.Ring.pop ring;
+           incr seq;
+           ignore (Ff_util.Heap.Ring.push ring ~prio:(now +. 1.) ~seq:!seq ())))
+  in
   let lm = T.Fig2.build () in
   let key = ref 0 in
   let lfa_parser = List.hd (Ff_boosters.Specs.specs_of "lfa-detector") in
@@ -1101,6 +1118,7 @@ let micro () =
              Ff_dataplane.Hashpipe.update hashpipe ~key:(!key mod 512) ~weight:1.));
       event_heap_hold 300;
       event_heap_hold 90_000;
+      event_ring_hold 90_000;
       Test.make ~name:"equiv-canonicalize"
         (Staged.stage (fun () -> ignore (Ff_dataflow.Equiv.canonical lfa_parser)));
       Test.make ~name:"yen-4-paths-fig2"

@@ -203,3 +203,104 @@ let clear t =
   done;
   t.len <- 0;
   t.next_seq <- 0
+
+(* FIFO rings: a circular buffer over parallel columns; entry [k]
+   (0 = head) sits at index [(head + k) land (capacity - 1)], and the
+   capacity is 0 or a power of two. Every index is masked below the
+   capacity. *)
+module Ring = struct
+  type 'a heap = 'a t
+
+  type 'a t = {
+    mutable prios : float array;
+    mutable seqs : int array;
+    mutable vals : 'a array;
+    mutable head : int;
+    mutable len : int;
+  }
+
+  let create () =
+    { prios = [||]; seqs = [||]; vals = [||]; head = 0; len = 0 }
+
+  let is_empty r = r.len = 0
+  let size r = r.len
+
+  (* Unroll the ring into the front of arrays twice the size. *)
+  let grow r =
+    let cap = Array.length r.prios in
+    let ncap = max 16 (2 * cap) in
+    let prios = Array.make ncap 0.
+    and seqs = Array.make ncap 0
+    and vals = Array.make ncap (nil ()) in
+    for k = 0 to r.len - 1 do
+      let i = (r.head + k) land (cap - 1) in
+      prios.(k) <- r.prios.(i);
+      seqs.(k) <- r.seqs.(i);
+      vals.(k) <- r.vals.(i)
+    done;
+    r.prios <- prios;
+    r.seqs <- seqs;
+    r.vals <- vals;
+    r.head <- 0
+
+  (* The tail test and the append in one call, so a caller holding an
+     unboxed priority boxes it once, as a heap push does. *)
+  let push r ~prio ~seq v =
+    let n = r.len in
+    if n > 0 && r.prios.((r.head + n - 1) land (Array.length r.prios - 1)) > prio then false
+    else begin
+      if n = Array.length r.prios then grow r;
+      let i = (r.head + n) land (Array.length r.prios - 1) in
+      r.prios.(i) <- prio;
+      r.seqs.(i) <- seq;
+      r.vals.(i) <- v;
+      r.len <- n + 1;
+      true
+    end
+
+  let head_prio r =
+    if r.len = 0 then invalid_arg "Heap.Ring.head_prio: empty ring";
+    r.prios.(r.head)
+
+  let head_before a b =
+    if a.len = 0 then false
+    else if b.len = 0 then true
+    else
+      let pa = a.prios.(a.head) and pb = b.prios.(b.head) in
+      pa < pb || (pa = pb && a.seqs.(a.head) < b.seqs.(b.head))
+
+  (* The three-way merge lives here, in the heap's own unit, and is one
+     call: the engine runs it on every event, and the default dev build
+     compiles with [-opaque], so a cross-module call is never inlined and
+     a priority passed to one would be boxed. *)
+  let earliest r (a : _ heap) (b : _ heap) =
+    let h = if top_before a b then 0 else if b.len = 0 then -1 else 1 in
+    if r.len = 0 then h
+    else if h < 0 then 2
+    else begin
+      let p = r.prios.(r.head) and s = r.seqs.(r.head) in
+      let hp = if h = 0 then a.prios.(0) else b.prios.(0)
+      and hs = if h = 0 then a.seqs.(0) else b.seqs.(0) in
+      if p < hp || (p = hp && s < hs) then 2 else h
+    end
+
+  let head_at_most r x = r.len > 0 && r.prios.(r.head) <= x
+  let head_lt r x = r.len > 0 && r.prios.(r.head) < x
+
+  let pop r =
+    if r.len = 0 then invalid_arg "Heap.Ring.pop: empty ring";
+    let i = r.head in
+    let v = r.vals.(i) in
+    r.vals.(i) <- nil ();
+    r.head <- (i + 1) land (Array.length r.prios - 1);
+    r.len <- r.len - 1;
+    v
+
+  let clear r =
+    let mask = Array.length r.prios - 1 in
+    for k = 0 to r.len - 1 do
+      r.vals.((r.head + k) land mask) <- nil ()
+    done;
+    r.head <- 0;
+    r.len <- 0
+end

@@ -91,6 +91,33 @@ let test_engine_per_engine_steps () =
   Engine.clear a;
   Alcotest.(check int) "steps survive clear (odometer)" 3 (Engine.steps a)
 
+(* Burst ticks sit in rings beside the heaps: a burst armed at the
+   current instant goes to the zero-delay ring, and its re-arms to the
+   ring for its period. [clear] must drop both kinds. *)
+let test_engine_clear_drops_rings () =
+  let e = Engine.create () in
+  let fired = ref 0 in
+  Engine.schedule_burst e ~start:0. ~period:0.5 ~count:10 (fun _ -> incr fired; true);
+  Engine.run e ~until:1.;
+  Alcotest.(check int) "ticks at 0, 0.5 and 1" 3 !fired;
+  (* pending now: the period ring's tick at 1.5 and a zero-delay tick *)
+  Engine.schedule_burst e ~start:1. ~period:0.25 ~count:4 (fun _ -> incr fired; true);
+  Alcotest.(check int) "two ticks pending" 2 (Engine.pending e);
+  Engine.clear e;
+  Alcotest.(check int) "nothing pending after clear" 0 (Engine.pending e);
+  Alcotest.(check (float 0.)) "no next event" infinity (Engine.next_time e);
+  Engine.run e ~until:10.;
+  Alcotest.(check int) "cleared ticks never fire" 3 !fired;
+  (* the cleared rings serve a new run from time 0 *)
+  Engine.clear e;
+  let times = ref [] in
+  Engine.schedule_burst e ~start:0. ~period:0.5 ~count:3 (fun _ ->
+      times := Engine.now e :: !times;
+      true);
+  Engine.run e ~until:10.;
+  Alcotest.(check (list (float 0.))) "fresh burst after clear" [ 0.; 0.5; 1. ]
+    (List.rev !times)
+
 (* ---------------- Link model ---------------- *)
 
 let two_hosts () =
@@ -505,30 +532,231 @@ let test_monitor_attach_mid_run () =
   | (t0, _) :: _ -> Alcotest.(check bool) "first sample not in the past" true (t0 >= 5.)
   | [] -> Alcotest.fail "no samples")
 
-(* Both lanes share one (time, seq) key: however thunk and packet events
-   interleave, they must fire in global schedule order at equal
-   timestamps, exactly like the old single-heap engine. *)
-let prop_two_lane_order =
-  QCheck.Test.make ~name:"thunk and packet lanes merge in (time, seq) order" ~count:200
-    QCheck.(list_of_size (Gen.int_range 1 80) (pair bool (int_range 0 9)))
+(* Every lane shares one (time, seq) key: however thunk, packet and
+   burst-ring events interleave, they must fire in global schedule order,
+   exactly like a single heap. The differential runs the engine against
+   one list kept sorted by (time, seq). Scripts mix one-shot thunks,
+   packets and bursts (shared and distinct periods, period 0, more
+   distinct periods than the engine has rings, starts now and later,
+   early stops, and ticks that schedule at the current instant or start
+   a nested burst there), driven by [run], [run_window], [step] and
+   [clear]. Every dispatch is logged with its clock; the logs, [now],
+   [pending] and [next_time] must agree after every operation. *)
+module Lane_ref = struct
+  type t = { mutable q : (float * int * (unit -> unit)) list; mutable now : float; mutable seq : int }
+
+  let create () = { q = []; now = 0.; seq = 0 }
+
+  let push r at f =
+    let seq = r.seq in
+    r.seq <- seq + 1;
+    let rec ins = function
+      | ((a, s, _) as e) :: rest when a < at || (a = at && s < seq) -> e :: ins rest
+      | l -> (at, seq, f) :: l
+    in
+    r.q <- ins r.q
+
+  let schedule r ~at f = push r (Float.max at r.now) f
+
+  let burst r ~start ~period ~count f =
+    let at = ref (Float.max start r.now) and k = ref 0 in
+    let rec tick () =
+      let continue = f !k in
+      incr k;
+      if continue && !k < count then begin
+        at := !at +. period;
+        push r !at tick
+      end
+    in
+    push r !at tick
+
+  let rec drain r due =
+    match r.q with
+    | (a, _, f) :: rest when due a ->
+      r.q <- rest;
+      r.now <- Float.max r.now a;
+      f ();
+      drain r due
+    | _ -> ()
+
+  let run r ~until =
+    drain r (fun a -> a <= until);
+    r.now <- Float.max r.now until
+
+  let run_window r ~horizon =
+    drain r (fun a -> a < horizon);
+    r.now <- Float.max r.now horizon
+
+  let step r =
+    match r.q with
+    | (a, _, f) :: rest ->
+      r.q <- rest;
+      r.now <- Float.max r.now a;
+      f ();
+      true
+    | [] -> false
+
+  let next_time r = match r.q with (a, _, _) :: _ -> a | [] -> infinity
+  let pending r = List.length r.q
+
+  let clear r =
+    r.q <- [];
+    r.now <- 0.;
+    r.seq <- 0
+end
+
+type lane_op =
+  | Sched of int
+  | After of int
+  | Pkt of int
+  | Burst of { start : int; period : int; count : int; stop_at : int; spawn_at : int; nest_at : int }
+  | Run of int
+  | Window of int
+  | Step
+  | Clear
+
+(* Twelve periods, eight more than enough to overflow the engine's rings.
+   Quarter steps make equal times common; 0.1, 0.3 and 0.05 exercise
+   inexact float accumulation. *)
+let lane_periods = [| 0.; 0.25; 0.5; 1.; 0.1; 0.3; 0.75; 0.2; 0.6; 1.5; 0.05; 2. |]
+let quarter d = 0.25 *. float_of_int d
+
+let show_lane_op = function
+  | Sched d -> Printf.sprintf "Sched %d" d
+  | After d -> Printf.sprintf "After %d" d
+  | Pkt d -> Printf.sprintf "Pkt %d" d
+  | Burst b ->
+    Printf.sprintf "Burst{start=%d period=%g count=%d stop=%d spawn=%d nest=%d}" b.start
+      lane_periods.(b.period) b.count b.stop_at b.spawn_at b.nest_at
+  | Run d -> Printf.sprintf "Run %d" d
+  | Window d -> Printf.sprintf "Window %d" d
+  | Step -> "Step"
+  | Clear -> "Clear"
+
+let gen_lane_op =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, map (fun d -> Sched d) (int_range 0 12));
+        (2, map (fun d -> After d) (int_range 0 12));
+        (3, map (fun d -> Pkt d) (int_range 0 12));
+        ( 6,
+          map
+            (fun ((start, period, count), (stop_at, spawn_at, nest_at)) ->
+              Burst { start; period; count; stop_at; spawn_at; nest_at })
+            (pair
+               (triple
+                  (frequency [ (2, return 0); (1, int_range 1 8) ])
+                  (int_range 0 (Array.length lane_periods - 1))
+                  (int_range 1 30))
+               (triple (int_range 0 40) (int_range 0 40) (int_range 0 40))) );
+        (3, map (fun d -> Run d) (int_range 0 8));
+        (2, map (fun d -> Window d) (int_range 0 8));
+        (2, return Step);
+        (1, return Clear);
+      ])
+
+(* What a script needs from an event queue; the engine and the reference
+   each implement it. Events log [(label, now)] when they fire. *)
+type lane_sim = {
+  now : unit -> float;
+  schedule : at:float -> string -> unit;
+  after : delay:float -> string -> unit;
+  packet : at:float -> int -> unit;
+  burst : start:float -> period:float -> count:int -> (int -> bool) -> unit;
+  run : until:float -> unit;
+  window : horizon:float -> unit;
+  step : unit -> bool;
+  next_time : unit -> float;
+  pending : unit -> int;
+  clear : unit -> unit;
+}
+
+let engine_sim log =
+  let e = Engine.create () in
+  let pkt = Packet.make ~src:0 ~dst:0 ~flow:0 ~birth:0. () in
+  let on_packet ~to_node ~from_node:_ _ =
+    log := (Printf.sprintf "p%d" to_node, Engine.now e) :: !log
+  in
+  Engine.set_packet_handler e on_packet;
+  let fire l () = log := (l, Engine.now e) :: !log in
+  {
+    now = (fun () -> Engine.now e);
+    schedule = (fun ~at l -> Engine.schedule e ~at (fire l));
+    after = (fun ~delay l -> Engine.after e ~delay (fire l));
+    packet = (fun ~at id -> Engine.schedule_packet e ~at ~to_node:id ~from_node:0 pkt);
+    burst = (fun ~start ~period ~count f -> Engine.schedule_burst e ~start ~period ~count f);
+    run = (fun ~until -> Engine.run e ~until);
+    window = (fun ~horizon -> Engine.run_window e ~horizon);
+    step = (fun () -> Engine.step e);
+    next_time = (fun () -> Engine.next_time e);
+    pending = (fun () -> Engine.pending e);
+    clear =
+      (fun () ->
+        Engine.clear e;
+        Engine.set_packet_handler e on_packet);
+  }
+
+let reference_sim log =
+  let r = Lane_ref.create () in
+  let fire l () = log := (l, r.Lane_ref.now) :: !log in
+  {
+    now = (fun () -> r.Lane_ref.now);
+    schedule = (fun ~at l -> Lane_ref.schedule r ~at (fire l));
+    after = (fun ~delay l -> Lane_ref.schedule r ~at:(r.Lane_ref.now +. delay) (fire l));
+    packet = (fun ~at id -> Lane_ref.schedule r ~at (fire (Printf.sprintf "p%d" id)));
+    burst = (fun ~start ~period ~count f -> Lane_ref.burst r ~start ~period ~count f);
+    run = (fun ~until -> Lane_ref.run r ~until);
+    window = (fun ~horizon -> Lane_ref.run_window r ~horizon);
+    step = (fun () -> Lane_ref.step r);
+    next_time = (fun () -> Lane_ref.next_time r);
+    pending = (fun () -> Lane_ref.pending r);
+    clear = (fun () -> Lane_ref.clear r);
+  }
+
+(* Apply op [i]; returns [step]'s result so the two sides can be compared. *)
+let apply_lane_op sim log i op =
+  let now = sim.now () in
+  match op with
+  | Sched d -> sim.schedule ~at:(now +. quarter d) (Printf.sprintf "s%d" i); true
+  | After d -> sim.after ~delay:(quarter d) (Printf.sprintf "a%d" i); true
+  | Pkt d -> sim.packet ~at:(now +. quarter d) i; true
+  | Burst b ->
+    let period = lane_periods.(b.period) in
+    let tick name k =
+      log := (Printf.sprintf "%s.%d" name k, sim.now ()) :: !log;
+      if k = b.spawn_at then sim.schedule ~at:(sim.now ()) (Printf.sprintf "%s.%d+" name k);
+      k <> b.stop_at
+    in
+    let outer = Printf.sprintf "b%d" i in
+    sim.burst ~start:(now +. quarter b.start) ~period ~count:b.count (fun k ->
+        if k = b.nest_at then
+          sim.burst ~start:(sim.now ()) ~period ~count:3 (tick (Printf.sprintf "%s.%dn" outer k));
+        tick outer k);
+    true
+  | Run d -> sim.run ~until:(now +. quarter d); true
+  | Window d -> sim.window ~horizon:(now +. quarter d); true
+  | Step -> sim.step ()
+  | Clear -> sim.clear (); true
+
+let prop_lanes_match_sorted_reference =
+  QCheck.Test.make ~name:"thunk, packet and ring lanes merge in (time, seq) order"
+    ~count:200 ~long_factor:5
+    QCheck.(
+      make
+        ~print:(fun ops -> String.concat "; " (List.map show_lane_op ops))
+        ~shrink:Shrink.list Gen.(list_size (int_range 1 60) gen_lane_op))
     (fun ops ->
-      let e = Engine.create () in
-      let log = ref [] in
-      Engine.set_packet_handler e (fun ~to_node ~from_node:_ _pkt -> log := to_node :: !log);
+      let elog = ref [] and rlog = ref [] in
+      let e = engine_sim elog and r = reference_sim rlog in
+      let state sim = (sim.now (), sim.pending (), sim.next_time ()) in
       List.iteri
-        (fun i (packet_lane, ti) ->
-          let at = float_of_int ti in
-          if packet_lane then
-            Engine.schedule_packet e ~at ~to_node:i ~from_node:0
-              (Packet.make ~src:0 ~dst:0 ~flow:0 ~birth:0. ())
-          else Engine.schedule e ~at (fun () -> log := i :: !log))
-        ops;
-      Engine.run e ~until:100.;
-      let expected =
-        List.mapi (fun i (_, ti) -> (ti, i)) ops
-        |> List.stable_sort compare |> List.map snd
-      in
-      List.rev !log = expected)
+        (fun i op ->
+          let se = apply_lane_op e elog i op and sr = apply_lane_op r rlog i op in
+          if se <> sr || state e <> state r || !elog <> !rlog then
+            QCheck.Test.fail_reportf "diverged after op %d (%s)" i (show_lane_op op))
+        (ops @ [ Run 400 ]);
+      true)
 
 (* Dense routing state (int-array tables + open-addressed pair table)
    must be observationally identical to the naive Hashtbl model it
@@ -660,6 +888,7 @@ let () =
           Alcotest.test_case "nested schedule" `Quick test_engine_nested_schedule;
           Alcotest.test_case "reuse after clear" `Quick test_engine_reuse_after_clear;
           Alcotest.test_case "per-engine steps" `Quick test_engine_per_engine_steps;
+          Alcotest.test_case "clear drops ring ticks" `Quick test_engine_clear_drops_rings;
         ] );
       ( "links",
         [
@@ -704,7 +933,7 @@ let () =
             prop_conservation;
             prop_tcp_no_duplicate_delivery;
             prop_utilization_bounded;
-            prop_two_lane_order;
+            prop_lanes_match_sorted_reference;
             prop_routes_match_reference;
           ] );
     ]

@@ -439,6 +439,53 @@ let prop_heap_matches_model =
         ops;
       true)
 
+(* Heap.Ring against a FIFO queue: the tail test refuses exactly the
+   pushes below the last pushed priority (an empty ring takes any), pops
+   return values in push order, and runs long enough to wrap the buffer
+   and grow it mid-wrap lose no entry. *)
+let prop_ring_matches_fifo =
+  QCheck.Test.make ~name:"ring matches a FIFO model through wraparound and growth" ~count:200
+    ~long_factor:5
+    QCheck.(list_of_size (Gen.int_range 1 400) (pair (int_range 0 3) (int_range (-1) 3)))
+    (fun ops ->
+      let raises f = try ignore (f ()); false with Invalid_argument _ -> true in
+      let r = Heap.Ring.create () and q = Queue.create () in
+      let tail = ref 0. and seq = ref 0 in
+      List.iteri
+        (fun id (kind, d) ->
+          if kind < 3 then begin
+            let prio = !tail +. (0.5 *. float_of_int d) in
+            let want = Queue.is_empty q || prio >= !tail in
+            if Heap.Ring.push r ~prio ~seq:!seq id <> want then
+              QCheck.Test.fail_reportf "op %d: push at %g (tail %g) accepted <> %b" id prio !tail
+                want;
+            if want then begin
+              Queue.push (prio, id) q;
+              tail := prio
+            end;
+            incr seq
+          end
+          else if Queue.is_empty q then begin
+            if not (raises (fun () -> Heap.Ring.pop r)) then
+              QCheck.Test.fail_reportf "op %d: pop on an empty ring did not raise" id
+          end
+          else begin
+            let _, v = Queue.pop q in
+            let got = Heap.Ring.pop r in
+            if got <> v then QCheck.Test.fail_reportf "op %d: popped %d, want %d" id got v
+          end;
+          let n = Queue.length q in
+          if Heap.Ring.size r <> n || Heap.Ring.is_empty r <> (n = 0) then
+            QCheck.Test.fail_reportf "op %d: size %d, want %d" id (Heap.Ring.size r) n;
+          match Queue.peek_opt q with
+          | Some (p, _) when Heap.Ring.head_prio r <> p ->
+            QCheck.Test.fail_reportf "op %d: head %g, want %g" id (Heap.Ring.head_prio r) p
+          | None when not (raises (fun () -> Heap.Ring.head_prio r)) ->
+            QCheck.Test.fail_reportf "op %d: head_prio on an empty ring did not raise" id
+          | _ -> ())
+        ops;
+      true)
+
 let prop_percentile_within_range =
   QCheck.Test.make ~name:"percentile stays within sample bounds" ~count:200
     QCheck.(pair (float_range 0. 100.) (list_of_size (Gen.int_range 1 40) (float_range (-50.) 50.)))
@@ -499,6 +546,7 @@ let () =
       [
         prop_heap_sorts;
         prop_heap_matches_model;
+        prop_ring_matches_fifo;
         prop_percentile_within_range;
         prop_int_table_matches_hashtbl;
       ]
